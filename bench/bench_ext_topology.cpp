@@ -6,7 +6,7 @@
 
 #include "core/ccf.hpp"
 #include "join/rack_scheduler.hpp"
-#include "net/rack.hpp"
+#include "net/topology.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -39,9 +39,13 @@ int main(int argc, char** argv) {
   ccf::util::Table t({"oversub", "Hash (s)", "Mini (s)", "CCF flat (s)",
                       "CCF rack (s)", "rack vs flat"});
   for (const auto oversub : args.get_int_sweep("oversub")) {
-    const auto topo = std::make_shared<const ccf::net::RackFabric>(
-        racks, hosts, ccf::net::Fabric::kDefaultPortRate,
+    // The two-tier rack fabric: a one-spine leaf-spine, whose single route
+    // per pair is the collapsed choice.
+    const auto topo = ccf::net::Topology::leaf_spine(
+        racks, hosts, 1, ccf::net::Fabric::kDefaultPortRate,
         static_cast<double>(oversub));
+    const auto network = std::make_shared<const ccf::net::RoutedTopology>(
+        topo, ccf::net::route_collapsed(*topo));
 
     const auto prepared = ccf::core::apply_partial_duplication(workload, true);
     const auto problem = prepared.problem();
@@ -53,7 +57,7 @@ int main(int argc, char** argv) {
       auto flows = skew_handled
                        ? ccf::join::assignment_flows(matrix, dest, initial)
                        : ccf::join::assignment_flows(workload.matrix, dest);
-      ccf::net::Simulator sim(topo, ccf::net::make_allocator("madd"));
+      ccf::net::Simulator sim(network, ccf::net::make_allocator("madd"));
       sim.add_coflow(ccf::net::CoflowSpec("c", 0.0, std::move(flows)));
       return sim.run().coflows[0].cct();
     };

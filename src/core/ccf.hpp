@@ -28,13 +28,14 @@
 #include "join/local_join.hpp"     // IWYU pragma: export
 #include "join/rack_scheduler.hpp" // IWYU pragma: export
 #include "join/schedulers.hpp"     // IWYU pragma: export
-#include "net/rack.hpp"            // IWYU pragma: export
 #include "net/allocator.hpp"       // IWYU pragma: export
 #include "net/coflow.hpp"          // IWYU pragma: export
 #include "net/fabric.hpp"          // IWYU pragma: export
 #include "net/flow.hpp"            // IWYU pragma: export
 #include "net/metrics.hpp"         // IWYU pragma: export
+#include "net/multipath.hpp"       // IWYU pragma: export
 #include "net/simulator.hpp"       // IWYU pragma: export
+#include "net/topology.hpp"        // IWYU pragma: export
 #include "opt/bnb.hpp"             // IWYU pragma: export
 #include "opt/bounds.hpp"          // IWYU pragma: export
 #include "opt/local_search.hpp"    // IWYU pragma: export

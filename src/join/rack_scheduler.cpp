@@ -28,21 +28,48 @@ struct Top2 {
   }
 };
 
+constexpr std::uint32_t kNoRack = 0xffffffffu;
+
 }  // namespace
+
+RackCcfScheduler::RackCcfScheduler(const net::Topology& topology) {
+  if (topology.kind() != net::TopologyKind::kLeafSpine) {
+    throw std::invalid_argument("RackCcfScheduler: needs a leaf-spine topology");
+  }
+  const std::size_t n = topology.nodes();
+  // Racks are numbered by the ToR switch each host's egress port attaches to.
+  std::vector<std::uint32_t> rack_of_switch(topology.graph_nodes(), kNoRack);
+  std::uint32_t racks = 0;
+  rack_of_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto tor =
+        topology.link_ends(static_cast<net::Topology::LinkId>(i)).head;
+    if (rack_of_switch[tor] == kNoRack) rack_of_switch[tor] = racks++;
+    rack_of_[i] = rack_of_switch[tor];
+  }
+  host_rate_ = topology.link_capacity(0);
+  // Switch-level links start after the 2n host ports; a ToR's outgoing ones
+  // are its spine uplinks.
+  uplink_rate_.assign(racks, 0.0);
+  for (std::size_t l = 2 * n; l < topology.link_count(); ++l) {
+    const auto id = static_cast<net::Topology::LinkId>(l);
+    const std::uint32_t rack = rack_of_switch[topology.link_ends(id).tail];
+    if (rack != kNoRack) uplink_rate_[rack] += topology.link_capacity(id);
+  }
+}
 
 Assignment RackCcfScheduler::schedule(const AssignmentProblem& problem) {
   problem.validate();
   const data::ChunkMatrix& m = *problem.matrix;
-  const net::RackFabric& topo = *topology_;
   const std::size_t n = m.nodes();
-  if (n != topo.nodes()) {
+  if (n != rack_of_.size()) {
     throw std::invalid_argument(
         "RackCcfScheduler: matrix nodes != topology nodes");
   }
-  const std::size_t r = topo.racks();
+  const std::size_t r = uplink_rate_.size();
   const std::size_t p = m.partitions();
-  const double ce = topo.host_rate();
-  const double cu = topo.uplink_rate();
+  const double ce = host_rate_;
+  const std::vector<double>& cu = uplink_rate_;
 
   // Partition order: descending max chunk, as in Algorithm 1.
   std::vector<std::uint32_t> order(p);
@@ -67,8 +94,8 @@ Assignment RackCcfScheduler::schedule(const AssignmentProblem& problem) {
         if (i == j) continue;
         const double v = initial_flows_->volume(i, j);
         if (v <= 0.0) continue;
-        const std::size_t ri = topo.rack_of(i);
-        const std::size_t rj = topo.rack_of(j);
+        const std::size_t ri = rack_of_[i];
+        const std::size_t rj = rack_of_[j];
         if (ri != rj) {
           up_out[ri] += v;
           up_in[rj] += v;
@@ -83,7 +110,7 @@ Assignment RackCcfScheduler::schedule(const AssignmentProblem& problem) {
     const double sk = m.partition_total(k);
     std::fill(rack_mass.begin(), rack_mass.end(), 0.0);
     for (std::size_t i = 0; i < n; ++i) {
-      rack_mass[topo.rack_of(i)] += m.h(k, i);
+      rack_mass[rack_of_[i]] += m.h(k, i);
     }
 
     // Candidate-independent top-2s (normalized to seconds by capacity).
@@ -96,15 +123,15 @@ Assignment RackCcfScheduler::schedule(const AssignmentProblem& problem) {
     Top2 t_up_out;  // (up_out_r + rack_mass_r)/cu over racks
     Top2 t_up_in;   // up_in_r/cu over racks
     for (std::size_t rr = 0; rr < r; ++rr) {
-      t_up_out.feed((up_out[rr] + rack_mass[rr]) / cu, rr);
-      t_up_in.feed(up_in[rr] / cu, rr);
+      t_up_out.feed((up_out[rr] + rack_mass[rr]) / cu[rr], rr);
+      t_up_in.feed(up_in[rr] / cu[rr], rr);
     }
 
     double best_t = 0.0;
     std::uint32_t best_d = 0;
     bool first = true;
     for (std::uint32_t d = 0; d < n; ++d) {
-      const std::size_t rd = topo.rack_of(d);
+      const std::size_t rd = rack_of_[d];
       // Host egress: every holder i != d sends; d's own port stays put.
       const double eg = std::max(t_egress.excluding(d), egress[d] / ce);
       // Host ingress: d gains S_k - h_dk.
@@ -113,10 +140,10 @@ Assignment RackCcfScheduler::schedule(const AssignmentProblem& problem) {
                    (ingress[d] + (sk - m.h(k, d))) / ce);
       // Uplink out: every rack other than rd ships its whole rack mass up;
       // rd's uplink is untouched by this partition.
-      const double uo = std::max(t_up_out.excluding(rd), up_out[rd] / cu);
+      const double uo = std::max(t_up_out.excluding(rd), up_out[rd] / cu[rd]);
       // Uplink in: rd receives everything outside it; other racks unchanged.
       const double ui = std::max(t_up_in.excluding(rd),
-                                 (up_in[rd] + (sk - rack_mass[rd])) / cu);
+                                 (up_in[rd] + (sk - rack_mass[rd])) / cu[rd]);
       const double t = std::max(std::max(eg, in), std::max(uo, ui));
       if (first || t < best_t) {
         best_t = t;
@@ -126,7 +153,7 @@ Assignment RackCcfScheduler::schedule(const AssignmentProblem& problem) {
     }
 
     // Commit.
-    const std::size_t rd = topo.rack_of(best_d);
+    const std::size_t rd = rack_of_[best_d];
     dest[k] = best_d;
     for (std::size_t i = 0; i < n; ++i) {
       if (i != best_d) egress[i] += m.h(k, i);

@@ -12,19 +12,26 @@
 // total via the same top-2 trick. With oversubscription 1.0 the uplinks can
 // still bind (a rack's aggregate traffic exceeding its uplink), so this can
 // beat the flat heuristic even on full-bisection rack fabrics.
+//
+// The topology is a net::Topology leaf-spine: a host's rack is the ToR
+// switch its egress port attaches to, and a rack's uplink capacity cu is the
+// sum of that switch's switch-level outgoing links (its spine uplinks).
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "join/schedulers.hpp"
 #include "net/flow.hpp"
-#include "net/rack.hpp"
+#include "net/topology.hpp"
 
 namespace ccf::join {
 
 class RackCcfScheduler final : public PartitionScheduler {
  public:
-  /// The topology is captured by reference; keep it alive while scheduling.
-  explicit RackCcfScheduler(const net::RackFabric& topology)
-      : topology_(&topology) {}
+  /// Reads the rack structure of a leaf-spine topology; any other kind
+  /// throws std::invalid_argument.
+  explicit RackCcfScheduler(const net::Topology& topology);
 
   std::string name() const override { return "ccf-rack"; }
 
@@ -38,7 +45,9 @@ class RackCcfScheduler final : public PartitionScheduler {
   Assignment schedule(const AssignmentProblem& problem) override;
 
  private:
-  const net::RackFabric* topology_;
+  std::vector<std::uint32_t> rack_of_;  ///< host -> rack index
+  double host_rate_ = 0.0;              ///< host port capacity ce
+  std::vector<double> uplink_rate_;     ///< rack -> summed spine uplinks cu
   const net::FlowMatrix* initial_flows_ = nullptr;
 };
 

@@ -84,9 +84,14 @@ class PortfolioScheduler final : public PartitionScheduler {
   std::size_t last_best_start_ = 0;
 };
 
+/// The default search runs on one thread so the placement is replayable: with
+/// several, tied optima are committed in thread-timing order and the chosen
+/// assignment depends on CPU load. Engine and Service already place many
+/// queries in parallel, one scheduler call per query.
 class ExactScheduler final : public PartitionScheduler {
  public:
-  explicit ExactScheduler(opt::BnbOptions options = {}) : options_(options) {}
+  explicit ExactScheduler(opt::BnbOptions options = {.threads = 1})
+      : options_(options) {}
   std::string name() const override { return "exact"; }
   Assignment schedule(const AssignmentProblem& problem) override;
   /// Whether the last schedule() call proved optimality.

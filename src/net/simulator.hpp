@@ -132,7 +132,7 @@ class Simulator {
   Simulator(Fabric fabric, std::unique_ptr<RateAllocator> allocator,
             SimConfig config = {});
 
-  /// Generic topology constructor (e.g. a RackFabric).
+  /// Generic topology constructor (e.g. a RoutedTopology).
   Simulator(std::shared_ptr<const Network> network,
             std::unique_ptr<RateAllocator> allocator, SimConfig config = {});
 

@@ -40,8 +40,9 @@ class TopologyBuilder {
   /// Register one directed link; returns its LinkId.
   Topology::LinkId add_link(std::uint32_t tail, std::uint32_t head,
                             double capacity) {
-    if (capacity <= 0.0) {
-      throw std::invalid_argument("Topology: link capacity must be > 0");
+    if (!(capacity > 0.0) || !std::isfinite(capacity)) {
+      throw std::invalid_argument(
+          "Topology: link capacity must be finite and > 0");
     }
     topo_.capacity_.push_back(capacity);
     topo_.ends_.push_back({tail, head});
@@ -132,8 +133,9 @@ std::shared_ptr<const Topology> Topology::leaf_spine(
   if (racks == 0 || hosts_per_rack == 0 || spines == 0) {
     throw std::invalid_argument("leaf_spine: empty dimension");
   }
-  if (host_rate <= 0.0 || oversubscription <= 0.0) {
-    throw std::invalid_argument("leaf_spine: rates must be > 0");
+  if (!(host_rate > 0.0) || !std::isfinite(host_rate) ||
+      !(oversubscription > 0.0) || !std::isfinite(oversubscription)) {
+    throw std::invalid_argument("leaf_spine: rates must be finite and > 0");
   }
   const std::size_t n = racks * hosts_per_rack;
   TopologyBuilder b(TopologyKind::kLeafSpine, n, racks + spines);
@@ -148,9 +150,10 @@ std::shared_ptr<const Topology> Topology::leaf_spine(
   for (std::size_t i = 0; i < n; ++i) attachment[i] = tor(i / hosts_per_rack);
   b.add_host_ports(attachment, host_rate);
 
-  // Uplinks [2n, 2n + R*S), downlinks [2n + R*S, 2n + 2*R*S) — the
-  // MultiPathFabric layout, with per-uplink capacity splitting the rack's
-  // oversubscribed aggregate across the spines.
+  // Uplinks [2n, 2n + R*S), downlinks [2n + R*S, 2n + 2*R*S): up(r, s) =
+  // 2n + r*S + s, down(r, s) = 2n + R*S + r*S + s, with per-uplink capacity
+  // splitting the rack's oversubscribed aggregate across the spines. At
+  // S = 1 rack r's uplink-out is 2n + r and its uplink-in 2n + R + r.
   const double uplink_rate = static_cast<double>(hosts_per_rack) * host_rate /
                              (oversubscription * static_cast<double>(spines));
   std::vector<Topology::LinkId> up(racks * spines), down(racks * spines);
@@ -195,8 +198,9 @@ std::shared_ptr<const Topology> Topology::fat_tree(
   if (k < 2 || k % 2 != 0) {
     throw std::invalid_argument("fat_tree: k must be even and >= 2");
   }
-  if (host_rate <= 0.0 || core_oversubscription <= 0.0) {
-    throw std::invalid_argument("fat_tree: rates must be > 0");
+  if (!(host_rate > 0.0) || !std::isfinite(host_rate) ||
+      !(core_oversubscription > 0.0) || !std::isfinite(core_oversubscription)) {
+    throw std::invalid_argument("fat_tree: rates must be finite and > 0");
   }
   const std::size_t h = k / 2;          // half-k: hosts per edge, aggs per pod
   const std::size_t pods = k;
@@ -415,12 +419,15 @@ std::shared_ptr<const Topology> Topology::waxman(std::size_t hosts,
   if (options.routers == 0 || options.routers > hosts) {
     throw std::invalid_argument("waxman: routers must be in [1, hosts]");
   }
-  if (options.alpha <= 0.0 || options.alpha > 1.0 || options.beta <= 0.0 ||
-      options.beta > 1.0) {
+  if (!(options.alpha > 0.0) || options.alpha > 1.0 ||
+      !(options.beta > 0.0) || options.beta > 1.0) {
     throw std::invalid_argument("waxman: alpha/beta must be in (0, 1]");
   }
-  if (options.route_k == 0 || options.trunk_scale <= 0.0 || host_rate <= 0.0) {
-    throw std::invalid_argument("waxman: route_k/trunk_scale must be > 0");
+  if (options.route_k == 0 || !(options.trunk_scale > 0.0) ||
+      !std::isfinite(options.trunk_scale) || !(host_rate > 0.0) ||
+      !std::isfinite(host_rate)) {
+    throw std::invalid_argument(
+        "waxman: route_k/trunk_scale/host_rate must be finite and > 0");
   }
   const std::size_t r = options.routers;
 
@@ -550,13 +557,18 @@ std::shared_ptr<const Topology> Topology::waxman(std::size_t hosts,
 
 namespace {
 
+/// Full-match parse of a finite double: trailing text ("4abc"), NaN and
+/// infinities are rejected rather than truncated or passed on.
 double parse_double(std::string_view key, std::string_view value) {
-  try {
-    return std::stod(std::string(value));
-  } catch (const std::exception&) {
+  double out = 0.0;
+  const auto [ptr, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), out);
+  if (ec != std::errc() || ptr != value.data() + value.size() ||
+      !std::isfinite(out)) {
     throw std::invalid_argument("TopologySpec: bad value for " +
                                 std::string(key));
   }
+  return out;
 }
 
 std::size_t parse_size(std::string_view key, std::string_view value) {
@@ -795,13 +807,6 @@ RouteChoice route_greedy(const Topology& topology, const Demand& demand) {
     for (const auto l : scratch) load[l] += e.volume;
   }
   return choice;
-}
-
-RouteChoice route_greedy(const Topology& topology, const FlowMatrix& flows) {
-  if (flows.nodes() != topology.nodes()) {
-    throw std::invalid_argument("route_greedy: size mismatch");
-  }
-  return route_greedy(topology, Demand::from_matrix(flows));
 }
 
 }  // namespace ccf::net

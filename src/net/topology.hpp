@@ -1,5 +1,5 @@
-// General topology layer (ROADMAP item 1): the fabric beyond the paper's
-// single non-blocking switch.
+// General topology layer: the fabric beyond the paper's single non-blocking
+// switch, and the one description of every multi-tier fabric in the tree.
 //
 // A Topology is a directed capacitated link graph over end hosts plus a
 // *route-set*: for every ordered (src, dst) host pair it enumerates one or
@@ -7,8 +7,9 @@
 // dst's ingress port. Three families are bundled:
 //
 //  * leaf_spine  — racks of hosts behind ToR switches, S spine switches,
-//    configurable uplink oversubscription; one path per spine (the
-//    MultiPathFabric model generalized to per-link storage).
+//    configurable uplink oversubscription; one path per spine. At S = 1 it
+//    is the two-tier rack fabric of §III-A: a cross-rack flow crosses
+//    { egress_i, uplink_out(rack(i)), uplink_in(rack(j)), ingress_j }.
 //  * fat_tree    — the k-ary fat-tree of Al-Fares et al.: k pods of k/2 edge
 //    and k/2 aggregation switches over (k/2)^2 cores, k^3/4 hosts;
 //    (k/2)^2 paths between pods, k/2 inside a pod.
@@ -19,8 +20,8 @@
 //    hosts attached round-robin; the route-set is the k shortest loop-free
 //    router paths per pair (Yen's algorithm over BFS hop counts).
 //
-// Link-id layout (shared with Fabric/RackFabric so fault schedules and the
-// default Network::append_egress_links convention keep working): LinkId i in
+// Link-id layout (shared with Fabric so fault schedules and the default
+// Network::append_egress_links convention keep working): LinkId i in
 // [0, n) is host i's egress port, [n, 2n) the ingress ports, switch-level
 // links follow from 2n. Paths are stored as *segments* — the switch-level
 // links only — grouped by the (src attachment, dst attachment) switch pair,
@@ -44,7 +45,6 @@
 
 #include "net/demand.hpp"
 #include "net/fabric.hpp"
-#include "net/flow.hpp"
 #include "net/network.hpp"
 
 namespace ccf::net {
@@ -209,20 +209,18 @@ class RoutedTopology final : public Network {
 };
 
 /// Static ECMP: path = (src + dst) mod path_count — volume-oblivious, the
-/// baseline of production fabrics (matches multipath.hpp's leaf-spine
-/// route_ecmp on a leaf-spine topology).
+/// baseline of production fabrics.
 RouteChoice route_ecmp(const Topology& topology);
 
 /// Collapse every route-set to its first path ("k routes collapsed to 1" —
-/// the single-path degeneration the equivalence tests pin against).
+/// the single-path degeneration the equivalence tests pin against). On a
+/// one-spine leaf-spine this is the only route choice there is.
 RouteChoice route_collapsed(const Topology& topology);
 
 /// Volume-greedy: flows in descending volume order each take the path that
 /// minimizes the resulting worst utilization over the path's links; pairs
-/// without volume keep their ECMP path. The sparse Demand overload is the
-/// core implementation; the FlowMatrix overload bridges through
-/// Demand::from_matrix bit-identically (same candidate set, same tie order).
+/// without volume keep their ECMP path. Dense callers wrap their FlowMatrix
+/// with Demand::from_matrix.
 RouteChoice route_greedy(const Topology& topology, const Demand& demand);
-RouteChoice route_greedy(const Topology& topology, const FlowMatrix& flows);
 
 }  // namespace ccf::net

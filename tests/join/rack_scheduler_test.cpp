@@ -5,15 +5,30 @@
 #include "data/workload.hpp"
 #include "join/flows.hpp"
 #include "net/metrics.hpp"
+#include "net/topology.hpp"
 #include "util/rng.hpp"
 
 namespace ccf::join {
 namespace {
 
+/// A two-tier rack fabric: a one-spine leaf-spine (what the scheduler reads)
+/// and its single-route network (what Γ is measured on).
+struct Racks {
+  Racks(std::size_t racks, std::size_t hosts,
+        double host_rate = net::Fabric::kDefaultPortRate,
+        double oversubscription = 1.0)
+      : topology(net::Topology::leaf_spine(racks, hosts, 1, host_rate,
+                                           oversubscription)),
+        network(topology, net::route_collapsed(*topology)) {}
+
+  std::shared_ptr<const net::Topology> topology;
+  net::RoutedTopology network;
+};
+
 // Rack-aware makespan of an assignment = Γ of its flows on the topology.
 double rack_makespan(const data::ChunkMatrix& m,
-                     const Assignment& dest, const net::RackFabric& topo) {
-  return net::gamma_bound(assignment_flows(m, dest), topo);
+                     const Assignment& dest, const Racks& topo) {
+  return net::gamma_bound(assignment_flows(m, dest), topo.network);
 }
 
 data::ChunkMatrix random_matrix(std::size_t p, std::size_t n,
@@ -27,11 +42,11 @@ data::ChunkMatrix random_matrix(std::size_t p, std::size_t n,
 }
 
 TEST(RackCcfScheduler, ValidAssignments) {
-  const net::RackFabric topo(3, 4, 10.0, 4.0);
+  const Racks topo(3, 4, 10.0, 4.0);
   const auto m = random_matrix(24, 12, 1);
   AssignmentProblem prob;
   prob.matrix = &m;
-  RackCcfScheduler sched(topo);
+  RackCcfScheduler sched(*topo.topology);
   EXPECT_EQ(sched.name(), "ccf-rack");
   const Assignment dest = sched.schedule(prob);
   ASSERT_EQ(dest.size(), 24u);
@@ -39,16 +54,16 @@ TEST(RackCcfScheduler, ValidAssignments) {
 }
 
 TEST(RackCcfScheduler, TopologySizeMismatchThrows) {
-  const net::RackFabric topo(2, 2);
+  const Racks topo(2, 2);
   const auto m = random_matrix(6, 12, 2);
   AssignmentProblem prob;
   prob.matrix = &m;
-  RackCcfScheduler sched(topo);
+  RackCcfScheduler sched(*topo.topology);
   EXPECT_THROW(sched.schedule(prob), std::invalid_argument);
 }
 
 TEST(RackCcfScheduler, MatchesExhaustiveOptimumOnTinyInstance) {
-  const net::RackFabric topo(2, 2, 10.0, 4.0);
+  const Racks topo(2, 2, 10.0, 4.0);
   const auto m = random_matrix(5, 4, 3);
   AssignmentProblem prob;
   prob.matrix = &m;
@@ -63,7 +78,7 @@ TEST(RackCcfScheduler, MatchesExhaustiveOptimumOnTinyInstance) {
     }
     best = std::min(best, rack_makespan(m, dest, topo));
   }
-  const Assignment greedy = RackCcfScheduler(topo).schedule(prob);
+  const Assignment greedy = RackCcfScheduler(*topo.topology).schedule(prob);
   // Greedy is not exact, but must land within 40% of the true optimum on
   // these tiny instances and always produce a consistent T.
   EXPECT_LE(rack_makespan(m, greedy, topo), best * 1.4 + 1e-9);
@@ -76,7 +91,7 @@ TEST(RackCcfScheduler, BeatsFlatCcfUnderOversubscription) {
   // may tie within a few percent, but the aggregate must favor rack-aware.
   double flat_total = 0.0, rack_total = 0.0;
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    const net::RackFabric topo(4, 5, 10.0, 8.0);
+    const Racks topo(4, 5, 10.0, 8.0);
     data::WorkloadSpec spec;
     spec.nodes = 20;
     spec.partitions = 100;
@@ -92,7 +107,8 @@ TEST(RackCcfScheduler, BeatsFlatCcfUnderOversubscription) {
     const double flat =
         rack_makespan(w.matrix, CcfScheduler().schedule(prob), topo);
     const double rack =
-        rack_makespan(w.matrix, RackCcfScheduler(topo).schedule(prob), topo);
+        rack_makespan(w.matrix,
+                      RackCcfScheduler(*topo.topology).schedule(prob), topo);
     EXPECT_LE(rack, flat * 1.05 + 1e-9) << "seed " << seed;
     flat_total += flat;
     rack_total += rack;
@@ -103,17 +119,18 @@ TEST(RackCcfScheduler, BeatsFlatCcfUnderOversubscription) {
 TEST(RackCcfScheduler, DegeneratesGracefullyOnSingleRack) {
   // One full-bisection rack == the flat fabric: both heuristics should land
   // within a whisker of each other (tie-breaking may differ).
-  const net::RackFabric topo(1, 8, 10.0, 1.0);
+  const Racks topo(1, 8, 10.0, 1.0);
   const auto m = random_matrix(40, 8, 5);
   AssignmentProblem prob;
   prob.matrix = &m;
   const double flat = rack_makespan(m, CcfScheduler().schedule(prob), topo);
-  const double rack = rack_makespan(m, RackCcfScheduler(topo).schedule(prob), topo);
+  const double rack =
+      rack_makespan(m, RackCcfScheduler(*topo.topology).schedule(prob), topo);
   EXPECT_NEAR(rack, flat, 0.05 * flat);
 }
 
 TEST(RackCcfScheduler, AccountsForInitialFlows) {
-  const net::RackFabric topo(2, 2, 10.0, 2.0);
+  const Racks topo(2, 2, 10.0, 2.0);
   const auto m = random_matrix(8, 4, 6);
   AssignmentProblem prob;
   prob.matrix = &m;
@@ -121,27 +138,44 @@ TEST(RackCcfScheduler, AccountsForInitialFlows) {
   net::FlowMatrix initial(4);
   initial.set(0, 2, 500.0);
   initial.set(1, 3, 500.0);
-  RackCcfScheduler sched(topo);
+  RackCcfScheduler sched(*topo.topology);
   const Assignment without = sched.schedule(prob);
   sched.set_initial_flows(&initial);
   const Assignment with = sched.schedule(prob);
   // The schedules may differ; what must hold is that accounting for the
   // initial flows never yields a worse combined Γ.
   auto combined_gamma = [&](const Assignment& dest) {
-    return net::gamma_bound(assignment_flows(m, dest, initial), topo);
+    return net::gamma_bound(assignment_flows(m, dest, initial), topo.network);
   };
   EXPECT_LE(combined_gamma(with), combined_gamma(without) + 1e-9);
 }
 
 TEST(RackCcfScheduler, InitialFlowSizeMismatchThrows) {
-  const net::RackFabric topo(2, 2);
+  const Racks topo(2, 2);
   const auto m = random_matrix(4, 4, 7);
   AssignmentProblem prob;
   prob.matrix = &m;
   net::FlowMatrix wrong(5);
-  RackCcfScheduler sched(topo);
+  RackCcfScheduler sched(*topo.topology);
   sched.set_initial_flows(&wrong);
   EXPECT_THROW(sched.schedule(prob), std::invalid_argument);
+}
+
+TEST(RackCcfScheduler, RejectsTopologiesWithoutRacks) {
+  EXPECT_THROW(RackCcfScheduler(*net::Topology::fat_tree(4, 10.0)),
+               std::invalid_argument);
+}
+
+TEST(RackCcfScheduler, SumsUplinksAcrossSpines) {
+  // Two spines at half the per-link capacity expose the same aggregate rack
+  // uplink as one spine, so the scheduler sees the same instance.
+  const auto one = net::Topology::leaf_spine(3, 4, 1, 10.0, 4.0);
+  const auto two = net::Topology::leaf_spine(3, 4, 2, 10.0, 4.0);
+  const auto m = random_matrix(24, 12, 8);
+  AssignmentProblem prob;
+  prob.matrix = &m;
+  EXPECT_EQ(RackCcfScheduler(*one).schedule(prob),
+            RackCcfScheduler(*two).schedule(prob));
 }
 
 }  // namespace

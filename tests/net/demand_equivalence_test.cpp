@@ -67,14 +67,15 @@ TEST(DemandEquivalence, EveryRoutingPolicyPicksTheSameRoutes) {
 
   for (const char* routing : kRoutings) {
     const auto policy = make_routing_policy(routing);
-    const RouteChoice dense = policy->choose(*topo, matrix);
+    const RouteChoice dense = policy->choose(*topo, Demand::from_matrix(matrix));
     const RouteChoice sparse = policy->choose(*topo, demand);
     EXPECT_EQ(dense, sparse) << routing;
-    EXPECT_EQ(routed_gamma(*topo, matrix, dense),
+    EXPECT_EQ(routed_gamma(*topo, Demand::from_matrix(matrix), dense),
               routed_gamma(*topo, demand, sparse))
         << routing;
   }
-  EXPECT_EQ(route_greedy(*topo, matrix), route_greedy(*topo, demand));
+  EXPECT_EQ(route_greedy(*topo, Demand::from_matrix(matrix)),
+            route_greedy(*topo, demand));
 }
 
 TEST(DemandEquivalence, EveryAllocatorSimulatesIdenticallyDenseVsSparse) {
@@ -87,7 +88,8 @@ TEST(DemandEquivalence, EveryAllocatorSimulatesIdenticallyDenseVsSparse) {
     const auto policy = make_routing_policy(routing);
     for (const char* allocator : kAllocators) {
       Simulator dense_sim(std::make_shared<const RoutedTopology>(
-                              topo, policy->choose(*topo, matrix)),
+                              topo, policy->choose(
+                                        *topo, Demand::from_matrix(matrix))),
                           make_allocator(allocator));
       dense_sim.add_coflow(CoflowSpec("c", 0.0, matrix));
       const SimReport dense = dense_sim.run();

@@ -24,7 +24,7 @@
 
 #include "net/io.hpp"
 #include "net/metrics.hpp"
-#include "net/rack.hpp"
+#include "net/topology.hpp"
 
 namespace ccf::net {
 namespace {
@@ -165,7 +165,9 @@ TEST(Demand, MarginalsMatchDensePerPortLoads) {
 }
 
 TEST(Demand, LinkAndGammaMetricsMatchDenseBitwise) {
-  const RackFabric network(2, 2, 100.0, 2.0);  // 4 hosts, oversubscribed
+  // 2 racks x 2 hosts behind one oversubscribed spine.
+  const auto topo = Topology::leaf_spine(2, 2, 1, 100.0, 2.0);
+  const RoutedTopology network(topo, route_collapsed(*topo));
   FlowMatrix m(4);
   m.set(0, 2, 400.0);  // cross-rack
   m.set(0, 1, 100.0);  // intra-rack

@@ -14,8 +14,8 @@
 #include <string>
 #include <tuple>
 
-#include "net/rack.hpp"
 #include "net/simulator.hpp"
+#include "net/topology.hpp"
 #include "testing/invariants.hpp"
 #include "util/rng.hpp"
 
@@ -71,9 +71,11 @@ SimReport run_engine(const std::vector<CoflowSpec>& specs, bool rack,
   SimConfig config;
   config.engine = engine;
   config.parallel_advance_threshold = parallel_threshold;
-  auto network = rack
-                     ? std::shared_ptr<const Network>(new RackFabric(3, 2, 10.0))
-                     : std::shared_ptr<const Network>(new Fabric(6, 10.0));
+  // "rack": 3 racks x 2 hosts behind one spine at full bisection.
+  const auto leaf_spine = Topology::leaf_spine(3, 2, 1, 10.0, 1.0);
+  auto network = rack ? std::shared_ptr<const Network>(new RoutedTopology(
+                            leaf_spine, route_collapsed(*leaf_spine)))
+                      : std::shared_ptr<const Network>(new Fabric(6, 10.0));
   Simulator sim(std::move(network), testing::make_invariant_checked(allocator),
                 config);
   if (fault_seed != 0) {

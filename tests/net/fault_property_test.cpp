@@ -13,8 +13,8 @@
 #include <tuple>
 #include <vector>
 
-#include "net/rack.hpp"
 #include "net/simulator.hpp"
+#include "net/topology.hpp"
 #include "testing/invariants.hpp"
 #include "util/rng.hpp"
 
@@ -72,8 +72,11 @@ RunResult run(std::uint64_t seed, const RunSetup& setup) {
   config.engine = setup.engine;
   config.parallel_advance_threshold = setup.parallel_threshold;
   config.record_trace = true;
+  // "rack": 3 racks x 2 hosts behind one spine at full bisection.
+  const auto leaf_spine = Topology::leaf_spine(3, 2, 1, 10.0, 1.0);
   auto network =
-      setup.rack ? std::shared_ptr<const Network>(new RackFabric(3, 2, 10.0))
+      setup.rack ? std::shared_ptr<const Network>(new RoutedTopology(
+                       leaf_spine, route_collapsed(*leaf_spine)))
                  : std::shared_ptr<const Network>(new Fabric(6, 10.0));
   Simulator sim(network, testing::make_invariant_checked(setup.allocator),
                 config);

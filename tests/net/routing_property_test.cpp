@@ -121,7 +121,8 @@ TEST_P(RoutingProperty, CapacityHoldsUnderFaultsAndReroutes) {
     sim.reset_epoch();
     checker->reset_epoch();
     sim.set_network(
-        std::make_shared<const RoutedTopology>(topo, route_joint(*topo, m)));
+        std::make_shared<const RoutedTopology>(
+            topo, route_joint(*topo, Demand::from_matrix(m))));
     sim.add_coflow(CoflowSpec("b", 0.0, m));
     const SimReport second = sim.run();
     EXPECT_GT(second.events, 0u);
@@ -132,9 +133,9 @@ TEST_P(RoutingProperty, CapacityHoldsUnderFaultsAndReroutes) {
 TEST_P(RoutingProperty, JointNeverWorseThanEcmpOnGamma) {
   const std::uint64_t seed = GetParam();
   for (const auto& topo : families(seed)) {
-    const FlowMatrix m = random_flows(topo->nodes(), seed, 0.5);
-    const double ecmp = routed_gamma(*topo, m, route_ecmp(*topo));
-    const double joint = routed_gamma(*topo, m, route_joint(*topo, m));
+    const Demand d = Demand::from_matrix(random_flows(topo->nodes(), seed, 0.5));
+    const double ecmp = routed_gamma(*topo, d, route_ecmp(*topo));
+    const double joint = routed_gamma(*topo, d, route_joint(*topo, d));
     EXPECT_LE(joint, ecmp * (1.0 + 1e-12)) << "kind "
                                            << static_cast<int>(topo->kind());
   }
@@ -155,8 +156,32 @@ TEST_P(RoutingProperty, JointNeverWorseThanEcmpOnSimulatedCct) {
     return sim.run().coflows[0].cct();
   };
   const double ecmp = run(route_ecmp(*topo));
-  const double joint = run(route_joint(*topo, m));
+  const double joint = run(route_joint(*topo, Demand::from_matrix(m)));
   EXPECT_LE(joint, ecmp * (1.0 + 1e-9));
+}
+
+TEST(RouteLeastLoaded, GammaNeverWorseThanEcmp) {
+  // The load-aware routers on a 4 x 3 leaf-spine over 3 spines with 15 B/s
+  // spine links: the volume-greedy router (each flow onto its least-loaded
+  // path) and route_joint on top of it both beat or tie static ECMP.
+  const auto topo = Topology::leaf_spine(4, 3, 3, 10.0, 2.0 / 3.0);
+  ASSERT_NEAR(topo->link_capacity(2 * 12), 15.0, 1e-12);
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    util::Pcg32 rng(util::derive_seed(seed, 91), 91);
+    Demand d(12);
+    for (std::uint32_t i = 0; i < 12; ++i) {
+      for (std::uint32_t j = 0; j < 12; ++j) {
+        if (i != j && rng.uniform01() < 0.4) d.add(i, j, rng.uniform(1.0, 200.0));
+      }
+    }
+    const double ecmp = routed_gamma(*topo, d, route_ecmp(*topo));
+    EXPECT_LE(routed_gamma(*topo, d, route_greedy(*topo, d)),
+              ecmp * 1.001 + 1e-9)
+        << "seed " << seed;
+    EXPECT_LE(routed_gamma(*topo, d, route_joint(*topo, d)),
+              ecmp * 1.001 + 1e-9)
+        << "seed " << seed;
+  }
 }
 
 TEST(RoutingPolicy, RegistryShapesAndValidation) {
@@ -166,13 +191,13 @@ TEST(RoutingPolicy, RegistryShapesAndValidation) {
     const auto policy = make_routing_policy(name);
     ASSERT_NE(policy, nullptr);
     EXPECT_EQ(policy->name(), name);
-    const RouteChoice choice = policy->choose(*topo, m);
+    const RouteChoice choice = policy->choose(*topo, Demand::from_matrix(m));
     // Every policy's choice binds cleanly (ctor validates path indices).
     RoutedTopology routed(topo, choice);
     EXPECT_EQ(routed.nodes(), topo->nodes());
   }
   EXPECT_THROW(make_routing_policy("bogus"), std::invalid_argument);
-  EXPECT_THROW(route_joint(*topo, FlowMatrix(3)), std::invalid_argument);
+  EXPECT_THROW(route_joint(*topo, Demand(3)), std::invalid_argument);
 }
 
 TEST(SetNetwork, RejectsMismatchedOrLateSwaps) {

@@ -131,7 +131,7 @@ TEST_P(TopologyEquivalence, NonOversubscribedLeafSpineMatchesFlatFabric) {
   // oversub = 0.25 with 2 spines: each uplink carries 2 * 10 / (0.25 * 2)
   // = 40 B/s against at most 20 B/s of host demand behind it.
   const auto topo = Topology::leaf_spine(3, 2, 2, 10.0, 0.25);
-  const FlowMatrix demand = aggregate_demand(specs, 6);
+  const Demand demand = Demand::from_matrix(aggregate_demand(specs, 6));
   const std::vector<std::pair<std::string, RouteChoice>> routings = {
       {"ecmp", route_ecmp(*topo)},
       {"greedy", route_greedy(*topo, demand)},

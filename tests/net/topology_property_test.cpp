@@ -1,5 +1,6 @@
-// Cross-topology property sweep: on every Network implementation — flat
-// fabric, rack fabric, routed leaf-spine — the same engine invariants hold:
+// Cross-topology property sweep: on every network — flat fabric, one-spine
+// leaf-spine (the two-tier rack fabric), greedy-routed two-spine leaf-spine —
+// the same engine invariants hold:
 //   (i)   single-coflow MADD CCT equals the analytic Γ of that topology;
 //   (ii)  no allocator beats Γ;
 //   (iii) bytes are conserved;
@@ -10,9 +11,8 @@
 #include <memory>
 
 #include "net/metrics.hpp"
-#include "net/multipath.hpp"
-#include "net/rack.hpp"
 #include "net/simulator.hpp"
+#include "net/topology.hpp"
 #include "util/rng.hpp"
 
 namespace ccf::net {
@@ -37,16 +37,23 @@ FlowMatrix random_flows(std::uint64_t seed) {
   return m;
 }
 
+/// The rack layer: one spine carrying each rack's 2:1-oversubscribed uplink.
+std::shared_ptr<const RoutedTopology> rack_network() {
+  const auto topo = Topology::leaf_spine(kRacks, kHosts, 1, kRate, 2.0);
+  return std::make_shared<const RoutedTopology>(topo, route_collapsed(*topo));
+}
+
+/// The routed layer: the same aggregate uplink split over two spines, each
+/// flow pinned to one of them by the volume-greedy router.
+std::shared_ptr<const RoutedTopology> routed_network(const FlowMatrix& m) {
+  const auto topo = Topology::leaf_spine(kRacks, kHosts, 2, kRate, 2.0);
+  return std::make_shared<const RoutedTopology>(
+      topo, route_greedy(*topo, Demand::from_matrix(m)));
+}
+
 std::vector<std::shared_ptr<const Network>> topologies(const FlowMatrix& m) {
-  std::vector<std::shared_ptr<const Network>> nets;
-  nets.push_back(std::make_shared<const Fabric>(kNodes, kRate));
-  nets.push_back(
-      std::make_shared<const RackFabric>(kRacks, kHosts, kRate, 2.0));
-  const auto mp = std::make_shared<const MultiPathFabric>(
-      kRacks, kHosts, 2, kRate, kHosts * kRate / 4.0);
-  nets.push_back(
-      std::make_shared<const RoutedNetwork>(mp, route_least_loaded(*mp, m)));
-  return nets;
+  return {std::make_shared<const Fabric>(kNodes, kRate), rack_network(),
+          routed_network(m)};
 }
 
 class TopologyProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -87,13 +94,9 @@ TEST_P(TopologyProperty, BytesConservedOnEveryTopology) {
 TEST_P(TopologyProperty, ConstraintLayersOnlySlowTheCoflow) {
   const FlowMatrix m = random_flows(GetParam() + 150);
   const Fabric flat(kNodes, kRate);
-  const RackFabric rack(kRacks, kHosts, kRate, 2.0);
-  const auto mp = std::make_shared<const MultiPathFabric>(
-      kRacks, kHosts, 2, kRate, kHosts * kRate / 4.0);
-  const RoutedNetwork routed(mp, route_least_loaded(*mp, m));
   const double g_flat = gamma_bound(m, flat);
-  const double g_rack = gamma_bound(m, rack);
-  const double g_routed = gamma_bound(m, routed);
+  const double g_rack = gamma_bound(m, *rack_network());
+  const double g_routed = gamma_bound(m, *routed_network(m));
   // Rack adds uplink constraints on top of the host ports; the routed
   // leaf-spine splits the same aggregate uplink over fixed per-flow paths.
   EXPECT_LE(g_flat, g_rack + 1e-9);

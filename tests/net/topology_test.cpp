@@ -1,20 +1,23 @@
 // Unit + golden tests of the general topology layer (src/net/topology.hpp):
 // link layout and capacities of each factory against hand-computed values,
-// route-set sizes, the intra-rack src==dst short-circuit and the
-// append_links src != dst contract, TopologySpec parsing, and seeded
-// generator determinism (same seed -> same topology, build after build).
+// route-set sizes, the ECMP hash and the greedy router's spine spreading,
+// the intra-rack src==dst short-circuit and the append_links src != dst
+// contract, TopologySpec parsing and its typed errors, and seeded generator
+// determinism (same seed -> same topology, build after build).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
-#include "net/multipath.hpp"
-#include "net/rack.hpp"
 #include "net/topology.hpp"
 
 namespace ccf::net {
 namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // --- leaf-spine golden ------------------------------------------------
 
@@ -39,7 +42,7 @@ TEST(TopologyLeafSpine, MatchesHandComputedLayout) {
   EXPECT_EQ(topo->path_count(0, 1), 1u);
   EXPECT_EQ(topo->path_links(0, 1, 0), (std::vector<Topology::LinkId>{0, 5}));
 
-  // Cross-rack pair: one path per spine, MultiPathFabric's id layout
+  // Cross-rack pair: one path per spine, with the leaf-spine id layout
   // (up(r,s) = 2n + r*S + s, down(r,s) = 2n + R*S + r*S + s).
   ASSERT_EQ(topo->path_count(0, 2), 2u);
   EXPECT_EQ(topo->path_links(0, 2, 0),
@@ -53,12 +56,49 @@ TEST(TopologyLeafSpine, MatchesHandComputedLayout) {
   EXPECT_DOUBLE_EQ(fat->link_capacity(8), 40.0);
 }
 
-TEST(TopologyLeafSpine, RejectsBadDimensions) {
+TEST(TopologyLeafSpine, MultiSpineGeometry) {
+  // 3 racks x 2 hosts over 2 spines: a host's rack is the ToR its egress
+  // port attaches to, and cross-rack pairs get one path per spine.
+  const auto topo = Topology::leaf_spine(3, 2, 2, 10.0, 1.0);
+  EXPECT_EQ(topo->nodes(), 6u);
+  EXPECT_EQ(topo->link_count(), 2u * 6u + 2u * 3u * 2u);
+  const auto tor = [&](Topology::LinkId host) {
+    return topo->link_ends(host).head;
+  };
+  EXPECT_EQ(tor(0), 6u);  // rack 0's ToR follows the hosts
+  EXPECT_EQ(tor(1), tor(0));
+  EXPECT_EQ(tor(5), 6u + 2u);
+  EXPECT_EQ(topo->path_count(0, 1), 1u);  // same rack
+  EXPECT_EQ(topo->path_count(0, 2), 2u);  // cross rack: one path per spine
+}
+
+TEST(MultiPathFabric, RejectsInvalidArguments) {
+  // Zero racks, hosts or spines, and non-positive host rates or
+  // oversubscriptions (which would make the per-spine uplink non-positive).
   EXPECT_THROW(Topology::leaf_spine(0, 2, 2, 10.0, 1.0),
                std::invalid_argument);
+  EXPECT_THROW(Topology::leaf_spine(2, 0, 2, 10.0, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(Topology::leaf_spine(2, 2, 0, 10.0, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(Topology::leaf_spine(2, 2, 2, 0.0, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(Topology::leaf_spine(2, 2, 2, 1.0, -1.0),
+               std::invalid_argument);
+}
+
+TEST(TopologyLeafSpine, RejectsBadDimensions) {
   EXPECT_THROW(Topology::leaf_spine(2, 2, 2, 10.0, 0.0),
                std::invalid_argument);
   EXPECT_THROW(Topology::leaf_spine(2, 2, 2, -1.0, 1.0),
+               std::invalid_argument);
+  // NaN compares false against every bound, so the checks fail closed on it;
+  // an infinite rate is no capacity either.
+  EXPECT_THROW(Topology::leaf_spine(2, 2, 1, kNaN, 1.0), std::invalid_argument);
+  EXPECT_THROW(Topology::leaf_spine(2, 2, 1, 10.0, kNaN),
+               std::invalid_argument);
+  EXPECT_THROW(Topology::leaf_spine(2, 2, 1, kInf, 1.0), std::invalid_argument);
+  EXPECT_THROW(Topology::leaf_spine(2, 2, 1, 10.0, kInf),
                std::invalid_argument);
 }
 
@@ -108,6 +148,8 @@ TEST(TopologyFatTree, MatchesAlFaresStructure) {
 
   EXPECT_THROW(Topology::fat_tree(3, 10.0), std::invalid_argument);
   EXPECT_THROW(Topology::fat_tree(0, 10.0), std::invalid_argument);
+  EXPECT_THROW(Topology::fat_tree(4, kNaN), std::invalid_argument);
+  EXPECT_THROW(Topology::fat_tree(4, 10.0, kNaN), std::invalid_argument);
 }
 
 // --- waxman golden + determinism --------------------------------------
@@ -164,6 +206,39 @@ TEST(TopologyWaxman, EveryPairRoutedAndCapacitiesPositive) {
                std::invalid_argument);
   EXPECT_THROW(Topology::waxman(4, 10.0, 1, {.alpha = 1.5}),
                std::invalid_argument);
+  EXPECT_THROW(Topology::waxman(4, 10.0, 1, {.routers = 2, .alpha = kNaN}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      Topology::waxman(4, 10.0, 1, {.routers = 2, .trunk_scale = kNaN}),
+      std::invalid_argument);
+}
+
+// --- routing policies -------------------------------------------------
+
+TEST(RouteEcmp, DeterministicHashOverSpines) {
+  const auto topo = Topology::leaf_spine(3, 2, 3, 10.0, 1.0);
+  const RouteChoice choice = route_ecmp(*topo);
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    for (std::uint32_t j = 0; j < 6; ++j) {
+      if (i == j) continue;
+      // Cross-rack pairs hash over the 3 spines; intra-rack pairs have the
+      // one direct path.
+      const bool same_rack = i / 2 == j / 2;
+      EXPECT_EQ(choice[i * 6 + j], same_rack ? 0u : (i + j) % 3)
+          << i << " -> " << j;
+    }
+  }
+}
+
+TEST(RouteGreedy, SpreadsTwoHeavyFlowsAcrossSpines) {
+  // Two heavy flows from rack 0 to rack 1: on one spine they would share an
+  // uplink; the volume-greedy router puts them on different spines.
+  const auto topo = Topology::leaf_spine(3, 2, 2, 10.0, 1.0);
+  Demand demand(6);
+  demand.add(0, 2, 100.0);
+  demand.add(1, 3, 100.0);
+  const RouteChoice choice = route_greedy(*topo, demand);
+  EXPECT_NE(choice[0 * 6 + 2], choice[1 * 6 + 3]);
 }
 
 // --- RoutedTopology as a Network --------------------------------------
@@ -185,12 +260,37 @@ TEST(RoutedTopology, AdaptsChoiceToAppendLinks) {
   EXPECT_THROW(RoutedTopology(topo, bad), std::out_of_range);
 }
 
+TEST(RoutedNetwork, PathsFollowTheRouting) {
+  // 3 racks x 2 hosts over 2 spines (n = 6, R = 3, S = 2):
+  // up(r,s) = 2n + r*S + s, down(r,s) = 2n + R*S + r*S + s.
+  const auto topo = Topology::leaf_spine(3, 2, 2, 10.0, 1.0);
+  RouteChoice choice = route_collapsed(*topo);
+  choice[0 * 6 + 2] = 1;  // (0 -> 2) crosses spine 1
+  const RoutedTopology net(topo, choice);
+  EXPECT_EQ(net.links_of(0, 2),
+            (std::vector<Network::LinkId>{0, 12 + 0 * 2 + 1,
+                                          12 + 6 + 1 * 2 + 1, 6 + 2}));
+  EXPECT_EQ(net.links_of(0, 1).size(), 2u);  // same rack: host ports only
+}
+
+TEST(RoutedNetwork, Errors) {
+  const auto topo = Topology::leaf_spine(3, 2, 2, 10.0, 1.0);
+  EXPECT_THROW(RoutedTopology(nullptr, route_collapsed(*topo)),
+               std::invalid_argument);
+  EXPECT_THROW(RoutedTopology(topo, RouteChoice(4 * 4, 0)),
+               std::invalid_argument);
+  RouteChoice bad = route_collapsed(*topo);
+  bad[0 * 6 + 2] = 9;  // spine out of range
+  EXPECT_THROW(RoutedTopology(topo, bad), std::out_of_range);
+}
+
 // --- the src != dst contract (satellite fix) ---------------------------
 
 TEST(AppendLinksContract, IntraRackShortCircuitIsDistinctFromSelfFlow) {
   // The valid short-circuit: src != dst in the SAME rack skips the switch
-  // layer on every two-tier topology.
-  const RackFabric rack(2, 2, 10.0, 2.0);
+  // layer on every two-tier topology, one spine or several.
+  const auto one_spine = Topology::leaf_spine(2, 2, 1, 10.0, 2.0);
+  const RoutedTopology rack(one_spine, route_collapsed(*one_spine));
   EXPECT_EQ(rack.links_of(0, 1),
             (std::vector<Network::LinkId>{0, 4 + 1}));
   const auto topo = Topology::leaf_spine(2, 2, 2, 10.0, 2.0);
@@ -208,6 +308,7 @@ TEST(AppendLinksContract, IntraRackShortCircuitIsDistinctFromSelfFlow) {
   EXPECT_DEATH(routed.append_links(3, 3, out), "src != dst");
 #else
   std::vector<Network::LinkId> out;
+  EXPECT_THROW(rack.append_links(1, 1, out), std::out_of_range);
   EXPECT_THROW(routed.append_links(3, 3, out), std::out_of_range);
 #endif
 }
@@ -248,6 +349,14 @@ TEST(TopologySpec, ParsesAndRoundTrips) {
   EXPECT_THROW(TopologySpec::parse("leafspine:racks=abc"),
                std::invalid_argument);
   EXPECT_THROW(TopologySpec::parse("leafspine:racks"), std::invalid_argument);
+  // A double must match its whole value ("4abc" is not 4), and NaN or an
+  // infinity would build links without a finite capacity.
+  for (const char* bad :
+       {"leafspine:oversub=4abc", "leafspine:oversub=nan",
+        "fattree:k=4,core-scale=nan", "leafspine:oversub=inf",
+        "leafspine:oversub="}) {
+    EXPECT_THROW(TopologySpec::parse(bad), std::invalid_argument) << bad;
+  }
 }
 
 TEST(TopologySpec, MakeTopologyDispatches) {
