@@ -17,9 +17,10 @@
 // rebalancing the remainders — measured here, not assumed.
 // The table this prints is the source of the EXPERIMENTS.md fault table.
 #include <iostream>
+#include <memory>
 #include <string>
 
-#include "core/pipeline.hpp"
+#include "core/engine.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -57,7 +58,8 @@ int main(int argc, char** argv) {
     spec.customer_bytes = ccf::util::parse_scaled(args.get("customer-bytes"));
     spec.orders_bytes = ccf::util::parse_scaled(args.get("orders-bytes"));
     spec.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-    const ccf::data::Workload workload = ccf::data::generate_workload(spec);
+    const auto workload = std::make_shared<const ccf::data::Workload>(
+        ccf::data::generate_workload(spec));
 
     std::cout << "Fault bench: " << nodes
               << "-node join shuffle; node 0's ingress port fails at 25% of "
@@ -68,37 +70,45 @@ int main(int argc, char** argv) {
     ccf::util::Table t({"system", "clean CCT", "faulted CCT", "slowdown",
                         "re-placed CCT", "recovered"});
     for (const SystemConfig& sys : kSystems) {
-      ccf::core::PipelineOptions base;
-      base.scheduler = sys.scheduler;
-      base.allocator = sys.allocator;
-      base.skew_handling = sys.skew_handling;
+      // One fresh one-query Engine session per fault configuration.
+      auto run = [&](const ccf::net::FaultSchedule& faults,
+                     bool replace_on_failure) {
+        ccf::core::EngineOptions options;
+        options.nodes = nodes;
+        options.allocator = sys.allocator;
+        options.faults = faults;
+        options.fault_options.replace_on_failure = replace_on_failure;
+        options.fault_options.replace_threshold = 0.0;  // hard failures only
+        ccf::core::Engine engine(std::move(options));
+        ccf::core::QuerySpec query(sys.scheduler, workload, sys.scheduler);
+        query.skew_handling = sys.skew_handling;
+        engine.submit(std::move(query));
+        return engine.drain();
+      };
       const double clean =
-          ccf::core::run_pipeline(workload, base).cct_seconds;
+          run(ccf::net::FaultSchedule{}, false).queries.front().cct_seconds;
 
       // Faults at fixed fractions of the clean CCT: every system loses its
       // destination port for the same *phase* of its shuffle, which makes
       // the slowdown column comparable across systems.
-      ccf::core::PipelineOptions faulted = base;
-      faulted.faults.fail_port(0.25 * clean, 0, ccf::net::PortSide::kIngress)
+      ccf::net::FaultSchedule faults;
+      faults.fail_port(0.25 * clean, 0, ccf::net::PortSide::kIngress)
           .restore_port(3.0 * clean, 0)
           .slow_node(0.10 * clean, 1, 0.5)
           .restore_node(0.70 * clean, 1);
-      const double hit =
-          ccf::core::run_pipeline(workload, faulted).cct_seconds;
-
-      ccf::core::PipelineOptions repaired = faulted;
-      repaired.fault_options.replace_on_failure = true;
-      repaired.fault_options.replace_threshold = 0.0;  // hard failures only
-      const ccf::core::RunReport rr = ccf::core::run_pipeline(workload, repaired);
+      const double hit = run(faults, false).queries.front().cct_seconds;
+      const ccf::core::EngineReport repaired = run(faults, true);
+      const double repaired_cct = repaired.queries.front().cct_seconds;
 
       t.add_row({sys.label, ccf::util::format_seconds(clean),
                  ccf::util::format_seconds(hit),
                  ccf::util::format_fixed(hit / clean, 2) + "x",
-                 ccf::util::format_seconds(rr.cct_seconds),
+                 ccf::util::format_seconds(repaired_cct),
                  ccf::util::format_fixed(
-                     (hit - rr.cct_seconds) / (hit - clean + 1e-12) * 100.0,
+                     (hit - repaired_cct) / (hit - clean + 1e-12) * 100.0,
                      0) +
-                     "% (" + std::to_string(rr.sim.replacements) + " moved)"});
+                     "% (" + std::to_string(repaired.sim.replacements) +
+                     " moved)"});
     }
     t.print(std::cout);
     std::cout << "\nWith a long outage every system's ride-out cost is the "

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "core/pipeline.hpp"
+#include "core/engine.hpp"
 #include "data/workload.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -38,11 +38,17 @@ struct FigurePoint {
 };
 
 /// Run Hash, Mini and CCF on the workload exactly as the paper configures
-/// them (optimal coflow schedule for all; skew handling for Mini and CCF).
-inline FigurePoint run_paper_systems(const data::Workload& workload) {
-  auto run = [&workload](const char* name) {
-    const core::RunReport r = core::run_pipeline(
-        workload, core::PipelineOptions::paper_system(name));
+/// them (optimal coflow schedule for all; skew handling for Mini and CCF),
+/// one query per drain of one Engine session.
+inline FigurePoint run_paper_systems(data::Workload workload) {
+  const auto shared =
+      std::make_shared<const data::Workload>(std::move(workload));
+  core::EngineOptions options;
+  options.nodes = shared->matrix.nodes();
+  core::Engine engine(std::move(options));
+  auto run = [&](const char* name) {
+    engine.submit(core::QuerySpec::paper_system(name, shared));
+    const core::RunReport r = engine.drain().queries.front();
     return SystemPoint{r.traffic_bytes / 1e9, r.cct_seconds,
                        r.schedule_seconds};
   };

@@ -6,6 +6,8 @@
 // Prints, per system, the network traffic and the simulated network
 // communication time (CCT) — the two metrics of the paper's evaluation.
 #include <iostream>
+#include <memory>
+#include <utility>
 
 #include "core/ccf.hpp"
 #include "util/cli.hpp"
@@ -26,20 +28,28 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_int("nodes")));
   spec.zipf_theta = args.get_double("zipf");
   spec.skew = args.get_double("skew");
-  const ccf::data::Workload workload = ccf::data::generate_workload(spec);
+  const auto workload = std::make_shared<const ccf::data::Workload>(
+      ccf::data::generate_workload(spec));
 
-  std::cout << "Workload: " << ccf::util::format_bytes(workload.matrix.total())
+  std::cout << "Workload: " << ccf::util::format_bytes(workload->matrix.total())
             << " over " << spec.nodes << " nodes, " << spec.partitions
             << " partitions (zipf=" << spec.zipf_theta
             << ", skew=" << spec.skew << ")\n\n";
 
-  // 2. Run the three systems of the paper's evaluation. All of them get the
-  //    optimal coflow schedule (MADD); Mini and CCF get skew handling.
+  // 2. Open an Engine session on the cluster's fabric. Its default
+  //    inter-coflow scheduler is MADD, the optimal coflow schedule that all
+  //    three systems of the paper's evaluation get.
+  ccf::core::EngineOptions options;
+  options.nodes = spec.nodes;
+  ccf::core::Engine engine(std::move(options));
+
+  // 3. Run the three systems one query at a time: submit, then drain the
+  //    epoch. Mini and CCF get skew handling (QuerySpec::paper_system).
   ccf::util::Table table({"system", "traffic", "comm. time", "schedule time"});
   double ccf_time = 0.0, hash_time = 0.0, mini_time = 0.0;
   for (const char* name : {"hash", "mini", "ccf"}) {
-    const ccf::core::RunReport r = ccf::core::run_pipeline(
-        workload, ccf::core::PipelineOptions::paper_system(name));
+    engine.submit(ccf::core::QuerySpec::paper_system(name, workload));
+    const ccf::core::RunReport r = engine.drain().queries.front();
     table.add_row({name, ccf::util::format_bytes(r.traffic_bytes),
                    ccf::util::format_seconds(r.cct_seconds),
                    ccf::util::format_seconds(r.schedule_seconds)});

@@ -8,6 +8,8 @@
 // This is the end-to-end path: data -> hash partitioning -> skew handling ->
 // placement scheduling -> tuple redistribution -> local hash joins.
 #include <iostream>
+#include <memory>
+#include <utility>
 
 #include "core/ccf.hpp"
 #include "util/cli.hpp"
@@ -42,25 +44,29 @@ int main(int argc, char** argv) {
   }
 
   const std::size_t partitions = 15 * cfg.nodes;  // the paper's ratio
-  const auto workload =
-      ccf::data::workload_from_tuples(customer, orders, partitions, 1);
+  const auto workload = std::make_shared<const ccf::data::Workload>(
+      ccf::data::workload_from_tuples(customer, orders, partitions, 1));
   const auto truth = ccf::join::reference_join_cardinality(customer, orders);
   std::cout << "Reference join cardinality: " << truth << " tuples\n\n";
 
   ccf::util::Table t({"system", "traffic", "comm. time", "result tuples",
                       "correct"});
+  ccf::core::EngineOptions options;
+  options.nodes = workload->matrix.nodes();
+  ccf::core::Engine engine(std::move(options));
   for (const char* name : {"hash", "mini", "ccf"}) {
-    const auto opts = ccf::core::PipelineOptions::paper_system(name);
-    const auto report = ccf::core::run_pipeline(workload, opts);
+    const auto query = ccf::core::QuerySpec::paper_system(name, workload);
+    engine.submit(query);
+    const ccf::core::RunReport report = engine.drain().queries.front();
 
     // Execute the same placement decision at tuple level.
     const auto prepared =
-        ccf::core::apply_partial_duplication(workload, opts.skew_handling);
+        ccf::core::apply_partial_duplication(*workload, query.skew_handling);
     const auto problem = prepared.problem();
     const auto dest = ccf::join::make_scheduler(name)->schedule(problem);
     const auto exec = ccf::join::execute_distributed_join(
         customer, orders, partitions, dest,
-        opts.skew_handling ? &workload.skew : nullptr);
+        query.skew_handling ? &workload->skew : nullptr);
 
     t.add_row({name, ccf::util::format_bytes(exec.flows.traffic()),
                ccf::util::format_seconds(report.cct_seconds),

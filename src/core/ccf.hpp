@@ -2,16 +2,16 @@
 //
 //   #include "core/ccf.hpp"
 //
-//   auto workload = ccf::data::generate_workload(
-//       ccf::data::WorkloadSpec::paper_default(500));
-//   auto report = ccf::core::run_pipeline(
-//       workload, ccf::core::PipelineOptions::paper_system("ccf"));
-//   std::cout << report.cct_seconds << "\n";
+//   auto workload = std::make_shared<const ccf::data::Workload>(
+//       ccf::data::generate_workload(
+//           ccf::data::WorkloadSpec::paper_default(500)));
+//   ccf::core::Engine engine({.nodes = 500});
+//   engine.submit(ccf::core::QuerySpec::paper_system("ccf", workload));
+//   std::cout << engine.drain().queries.front().cct_seconds << "\n";
 #pragma once
 
+#include "core/concurrent.hpp"     // IWYU pragma: export
 #include "core/engine.hpp"         // IWYU pragma: export
-#include "core/job.hpp"            // IWYU pragma: export
-#include "core/pipeline.hpp"       // IWYU pragma: export
 #include "core/query.hpp"          // IWYU pragma: export
 #include "core/registry.hpp"       // IWYU pragma: export
 #include "core/skew_handling.hpp"  // IWYU pragma: export

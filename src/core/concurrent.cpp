@@ -27,16 +27,16 @@ ConcurrentReport run_concurrent_operators(
   }
 
   // Stage graph per operator: skew pre-pass once (shared by both plans),
-  // then Plan A's isolated placement, with one shared scheduler instance.
-  const auto scheduler = registry::make_scheduler(options.scheduler);
+  // then Plan A's isolated placement.
   std::vector<RunContext> contexts(operators.size());
   std::size_t total_partitions = 0;
   for (std::size_t o = 0; o < operators.size(); ++o) {
     contexts[o].workload = std::make_shared<const data::Workload>(
         data::generate_workload(operators[o].workload));
     contexts[o].skew_handling = options.skew_handling;
+    contexts[o].scheduler = registry::make_scheduler(options.scheduler);
     stage_prepare(contexts[o]);
-    stage_place(contexts[o], *scheduler);
+    stage_place(contexts[o]);
     total_partitions += contexts[o].prepared->residual.partitions();
   }
 
@@ -62,7 +62,8 @@ ConcurrentReport run_concurrent_operators(
     }
   }
   joint_problem.matrix = &stacked;
-  const opt::Assignment joint_dest = scheduler->schedule(joint_problem);
+  const opt::Assignment joint_dest =
+      registry::make_scheduler(options.scheduler)->schedule(joint_problem);
 
   // Simulate both configurations as Engine epochs with every coflow present
   // from t = 0, and accumulate the union flow matrix for the model-level Γ.

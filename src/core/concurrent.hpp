@@ -13,11 +13,27 @@
 #include <string>
 #include <vector>
 
-#include "core/job.hpp"
 #include "data/workload.hpp"
+#include "net/fabric.hpp"
 #include "net/simulator.hpp"
 
 namespace ccf::core {
+
+/// One operator (e.g. one join's shuffle) of a multi-operator job.
+struct OperatorSpec {
+  std::string name = "op";
+  double arrival = 0.0;  ///< when its coflow becomes ready (seconds)
+  data::WorkloadSpec workload;
+};
+
+/// Placement and network policy shared by every operator of a job (and by
+/// every stage of a run_query plan, via QueryOptions::job).
+struct JobOptions {
+  std::string scheduler = "ccf";  ///< placement policy for every operator
+  bool skew_handling = true;
+  std::string allocator = "varys";  ///< inter-coflow policy (registry name)
+  double port_rate = net::Fabric::kDefaultPortRate;
+};
 
 struct ConcurrentReport {
   /// Simulated together (all coflows at t = 0) under the chosen allocator.

@@ -59,10 +59,33 @@ void validate_sparse_spec(const net::SparseCoflowSpec& spec,
   }
 }
 
-bool sparse_spec_valid(const net::SparseCoflowSpec& spec,
-                       std::size_t nodes) noexcept {
+void validate_query_spec(const QuerySpec& spec, std::size_t nodes) {
+  if (spec.sparse) {
+    validate_sparse_spec(*spec.sparse, nodes);
+    return;
+  }
+  if (!spec.workload) {
+    throw std::invalid_argument("query spec: no workload");
+  }
+  if (spec.workload->matrix.nodes() != nodes) {
+    throw std::invalid_argument(
+        "query spec: workload does not span the session fabric");
+  }
+  if (spec.arrival < 0.0 || !std::isfinite(spec.arrival)) {
+    throw std::invalid_argument("query spec: invalid arrival time");
+  }
+  if (spec.weight < 0.0 || !std::isfinite(spec.weight)) {
+    throw std::invalid_argument("query spec: invalid weight");
+  }
+  if (!registry::has_scheduler(spec.scheduler)) {
+    throw std::invalid_argument("query spec: unknown scheduler: " +
+                                spec.scheduler);
+  }
+}
+
+bool query_spec_valid(const QuerySpec& spec, std::size_t nodes) noexcept {
   try {
-    validate_sparse_spec(spec, nodes);
+    validate_query_spec(spec, nodes);
     return true;
   } catch (const std::invalid_argument&) {
     return false;
@@ -87,8 +110,8 @@ Engine::Engine(EngineOptions options)
 }
 
 QueryId Engine::submit(QuerySpec spec) {
+  validate_query_spec(spec, fabric_.nodes());
   if (spec.sparse) {
-    validate_sparse_spec(*spec.sparse, fabric_.nodes());
     RunContext ctx;
     ctx.name = spec.sparse->name;
     ctx.arrival = spec.sparse->arrival;
@@ -99,19 +122,6 @@ QueryId Engine::submit(QuerySpec spec) {
     const std::scoped_lock lock(mutex_);
     pending_.push_back(std::move(ctx));
     return next_id_++;
-  }
-  if (!spec.workload) {
-    throw std::invalid_argument("Engine::submit: query has no workload");
-  }
-  if (spec.workload->matrix.nodes() != fabric_.nodes()) {
-    throw std::invalid_argument(
-        "Engine::submit: workload does not span the session fabric");
-  }
-  if (spec.arrival < 0.0) {
-    throw std::invalid_argument("Engine::submit: negative arrival time");
-  }
-  if (spec.weight < 0.0 || !std::isfinite(spec.weight)) {
-    throw std::invalid_argument("Engine::submit: invalid query weight");
   }
   RunContext ctx;
   ctx.name = std::move(spec.name);
@@ -142,8 +152,7 @@ QueryId Engine::submit(QuerySpec spec) {
     ctx.plan_cached = true;
     ++stats_.plan_hits;
   } else {
-    // Resolve the placement policy once, here — an unknown name fails the
-    // submission, not the drain N queries later.
+    // Resolve the placement policy once, here, not per drain.
     ctx.scheduler = registry::make_scheduler(ctx.scheduler_name);
     ++stats_.plan_misses;
   }
@@ -157,8 +166,8 @@ QueryId Engine::submit(std::string name, double arrival,
     throw std::invalid_argument(
         "Engine::submit: flow matrix does not span the session fabric");
   }
-  if (arrival < 0.0) {
-    throw std::invalid_argument("Engine::submit: negative arrival time");
+  if (arrival < 0.0 || !std::isfinite(arrival)) {
+    throw std::invalid_argument("Engine::submit: invalid arrival time");
   }
   RunContext ctx;
   ctx.name = std::move(name);

@@ -1,11 +1,13 @@
-// core::Engine — the multi-query execution engine (session architecture).
+// core::Engine — the multi-query execution engine, and the one front door
+// through which a query reaches the simulator.
 //
-// The one-shot pipeline (run_pipeline) builds a fresh fabric, scheduler and
-// simulator per join. The Engine inverts that: it owns ONE fabric for a whole
-// session and accepts queries submitted over (simulated) time, so N
-// concurrent joins become N coflows contending in a single online simulation
-// instead of N isolated runs — the shape the coflow-stream literature (Shi et
-// al.; Qiu/Stein/Zhong) evaluates schedulers on.
+// The paper's framework (Fig. 3) is one path: workload -> skew pre-pass ->
+// placement -> flows -> coflow -> network simulation. The Engine owns ONE
+// fabric for a whole session and accepts queries submitted over (simulated)
+// time, so N concurrent joins become N coflows contending in a single online
+// simulation instead of N isolated runs — the shape the coflow-stream
+// literature (Shi et al.; Qiu/Stein/Zhong) evaluates schedulers on. A single
+// join is the one-query case of the same session.
 //
 // Lifecycle:
 //
@@ -14,8 +16,8 @@
 //   engine.submit(QuerySpec("q1", workload1, "ccf", 5.0)); // arrives at 5 s
 //   EngineReport epoch = engine.drain();   // place (parallel) + simulate
 //
-// submit() resolves the query's placement policy through the registry once,
-// at submission, and validates the workload against the session fabric.
+// submit() validates the query (validate_query_spec) and resolves its
+// placement policy through the registry once, at submission.
 // submit() is safe to call from many threads at once — the pending queue is
 // mutex-guarded, and ids are handed out under the same lock — which is what
 // lets core::Service push client submissions at an Engine shard while its
@@ -40,16 +42,16 @@
 //  * The plan cache memoizes the stage-graph products (flow matrix +
 //    model metrics) per (workload identity, placement policy, skew flag).
 //    Re-submitting the same prepared workload — the prepared-statement
-//    pattern of an always-on service — skips the whole placement fan-out.
+//    pattern of an always-on service, or run_query's fixed-point rounds —
+//    skips the whole placement fan-out.
 //    Schedulers are deterministic, so a cache hit is bit-identical to a
 //    recomputation; only the reported placement wall-clock differs (0).
 //
 // Determinism guarantee (pinned by tests/core/engine_test.cpp and
 // tests/core/engine_reuse_test.cpp): an Engine fed queries serially — each
-// submitted after the previous drain completes — reproduces run_pipeline's
-// RunReports exactly, and a long-lived session's epoch N is bit-identical to
-// the same batch drained by a freshly constructed Engine.
-// run_pipeline itself is a one-query Engine session.
+// submitted after the previous drain completes — reproduces a fresh
+// one-query Engine per query exactly, and a long-lived session's epoch N is
+// bit-identical to the same batch drained by a freshly constructed Engine.
 #pragma once
 
 #include <cstddef>
@@ -61,7 +63,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/pipeline.hpp"
 #include "core/stages.hpp"
 #include "data/workload.hpp"
 #include "net/coflow.hpp"
@@ -111,6 +112,19 @@ struct EngineOptions {
   net::SimConfig sim;
 };
 
+/// Everything the paper reports for one (workload, system) run: one query of
+/// a drained epoch.
+struct RunReport {
+  std::string scheduler;
+  double traffic_bytes = 0.0;     ///< Fig. 5(a)/6(a)/7(a): network traffic
+  double cct_seconds = 0.0;       ///< Fig. 5(b)/6(b)/7(b): communication time
+  double gamma_seconds = 0.0;     ///< analytic single-coflow bound
+  double makespan_bytes = 0.0;    ///< the model's T (bottleneck port bytes)
+  double schedule_seconds = 0.0;  ///< placement-scheduler wall time
+  std::size_t flow_count = 0;
+  bool skew_handled = false;
+};
+
 /// One query submission: a workload plus its per-query policy choices.
 struct QuerySpec {
   std::string name = "query";
@@ -145,12 +159,22 @@ struct QuerySpec {
         arrival(arrival_time),
         workload(std::move(w)),
         scheduler(std::move(scheduler_name)) {}
+
+  /// The paper's configuration of one of the three compared systems
+  /// (§IV-A): skew handling is integrated into "mini" and "ccf", while
+  /// "hash" is the plain hash-based baseline. The query is named after its
+  /// scheduler. Every system runs on the optimal single-coflow schedule,
+  /// which is the default EngineOptions::allocator ("madd").
+  static QuerySpec paper_system(const std::string& scheduler_name,
+                                std::shared_ptr<const data::Workload> w) {
+    QuerySpec spec(scheduler_name, std::move(w), scheduler_name);
+    spec.skew_handling = scheduler_name != "hash";
+    return spec;
+  }
 };
 
-/// Outcome of one drained epoch. queries[] is in submission order and each
-/// entry's RunReport.sim is left empty — the shared simulation of the whole
-/// epoch is `sim` (a single-query epoch's queries[0] plus `sim` is exactly a
-/// run_pipeline RunReport).
+/// Outcome of one drained epoch. queries[] is in submission order; the shared
+/// simulation of the whole epoch is `sim`.
 struct EngineReport {
   std::vector<RunReport> queries;
   net::SimReport sim;
@@ -176,18 +200,18 @@ class Engine {
   /// std::invalid_argument otherwise) and builds the session fabric.
   explicit Engine(EngineOptions options);
 
-  /// Enqueue a query for the next drain. Resolves its placement policy
-  /// through the registry and checks the workload spans the session fabric;
-  /// throws std::invalid_argument on unknown policy / size mismatch /
-  /// missing workload / negative arrival. Thread-safe: concurrent submitters
-  /// serialize on the session mutex and each rejected call leaves nothing
-  /// half-submitted.
+  /// Enqueue a query for the next drain. Validates it against the session
+  /// fabric per validate_query_spec (throws std::invalid_argument) and
+  /// resolves its placement policy through the registry. Thread-safe:
+  /// concurrent submitters serialize on the session mutex and each rejected
+  /// call leaves nothing half-submitted.
   QueryId submit(QuerySpec spec);
 
-  /// Enqueue a pre-built coflow (flows already generated — e.g. run_query's
-  /// fixed-point iterations re-submitting placed stages). Skips the prepare /
-  /// place stages; the flow matrix must span the session fabric. Thread-safe
-  /// like the QuerySpec overload.
+  /// Enqueue a pre-built coflow (flows already generated — e.g.
+  /// run_concurrent_operators' jointly placed operators). Skips the prepare /
+  /// place stages; the flow matrix must span the session fabric and the
+  /// arrival must be finite and >= 0. Thread-safe like the QuerySpec
+  /// overload.
   QueryId submit(std::string name, double arrival, net::FlowMatrix flows);
 
   /// Enqueue a raw sparse coflow — the scale ingestion path (no dense matrix
@@ -306,9 +330,15 @@ class Engine {
 void validate_sparse_spec(const net::SparseCoflowSpec& spec,
                           std::size_t nodes);
 
-/// Non-throwing form of validate_sparse_spec — the Service's admission
+/// The one rule set of the query door, shared by Engine::submit and
+/// Service::submit. A sparse spec is checked by validate_sparse_spec; any
+/// other spec needs a workload that spans a fabric of `nodes` ports, a
+/// finite arrival >= 0, a finite weight >= 0 and a registered placement
+/// scheduler. Throws std::invalid_argument on the first violation.
+void validate_query_spec(const QuerySpec& spec, std::size_t nodes);
+
+/// Non-throwing form of validate_query_spec — the Service's admission
 /// pre-check (drivers must never throw mid-drain).
-bool sparse_spec_valid(const net::SparseCoflowSpec& spec,
-                       std::size_t nodes) noexcept;
+bool query_spec_valid(const QuerySpec& spec, std::size_t nodes) noexcept;
 
 }  // namespace ccf::core

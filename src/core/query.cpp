@@ -1,14 +1,13 @@
 #include "core/query.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "core/engine.hpp"
-#include "core/registry.hpp"
-#include "core/stages.hpp"
 
 namespace ccf::core {
 
@@ -20,8 +19,9 @@ QueryReport run_query(const std::vector<QueryStage>& stages,
     if (stages[s].workload.nodes != n) {
       throw std::invalid_argument("run_query: stages span different clusters");
     }
-    if (stages[s].compute_seconds < 0.0) {
-      throw std::invalid_argument("run_query: negative compute time");
+    if (stages[s].compute_seconds < 0.0 ||
+        !std::isfinite(stages[s].compute_seconds)) {
+      throw std::invalid_argument("run_query: invalid compute time");
     }
     for (const std::size_t dep : stages[s].depends_on) {
       if (dep >= s) {
@@ -31,23 +31,22 @@ QueryReport run_query(const std::vector<QueryStage>& stages,
     }
   }
 
-  // Placement is decided once per stage (the composable stage graph, with
-  // one shared scheduler instance); only arrivals iterate below.
-  const auto scheduler = registry::make_scheduler(options.job.scheduler);
-  std::vector<net::FlowMatrix> stage_flow_matrices;
-  stage_flow_matrices.reserve(stages.size());
+  // One Engine session; every fixed-point round is one epoch that submits
+  // each stage at its refined ready time. The stage workloads are shared
+  // across rounds, so the first round runs the placement fan-out and every
+  // later round hits the plan cache (bit-identical to re-placing: the
+  // schedulers are deterministic); only arrivals iterate.
+  std::vector<std::shared_ptr<const data::Workload>> workloads;
+  workloads.reserve(stages.size());
   for (const QueryStage& stage : stages) {
-    RunContext ctx;
-    ctx.workload = std::make_shared<const data::Workload>(
-        data::generate_workload(stage.workload));
-    ctx.skew_handling = options.job.skew_handling;
-    stage_prepare(ctx);
-    stage_place(ctx, *scheduler);
-    stage_flows(ctx);
-    // The fixed-point loop re-submits each stage's coflow every round; the
-    // dense view round-trips the stage's columnar demand exactly.
-    stage_flow_matrices.push_back(ctx.flows->to_matrix());
+    workloads.push_back(std::make_shared<const data::Workload>(
+        data::generate_workload(stage.workload)));
   }
+  EngineOptions eopts;
+  eopts.nodes = n;
+  eopts.port_rate = options.job.port_rate;
+  eopts.allocator = options.job.allocator;
+  Engine engine(std::move(eopts));
 
   // Initial ready times: longest compute-only path.
   std::vector<double> ready(stages.size(), 0.0);
@@ -59,22 +58,17 @@ QueryReport run_query(const std::vector<QueryStage>& stages,
     ready[s] = dep_done + stages[s].compute_seconds;
   }
 
-  // One Engine session; every fixed-point round is one epoch re-submitting
-  // the placed stages' coflows at the refined ready times.
-  EngineOptions eopts;
-  eopts.nodes = n;
-  eopts.port_rate = options.job.port_rate;
-  eopts.allocator = options.job.allocator;
-  Engine engine(std::move(eopts));
-
   QueryReport report;
+  EngineReport epoch;
   for (report.iterations = 1; report.iterations <= options.max_iterations;
        ++report.iterations) {
     for (std::size_t s = 0; s < stages.size(); ++s) {
-      engine.submit(stages[s].name, ready[s],
-                    net::FlowMatrix(stage_flow_matrices[s]));
+      QuerySpec query(stages[s].name, workloads[s], options.job.scheduler,
+                      ready[s]);
+      query.skew_handling = options.job.skew_handling;
+      engine.submit(std::move(query));
     }
-    report.sim = std::move(engine.drain().sim);
+    engine.drain_into(epoch);
 
     // Recompute ready times from the simulated completions.
     bool changed = false;
@@ -82,7 +76,7 @@ QueryReport run_query(const std::vector<QueryStage>& stages,
     for (std::size_t s = 0; s < stages.size(); ++s) {
       double dep_done = 0.0;
       for (const std::size_t dep : stages[s].depends_on) {
-        dep_done = std::max(dep_done, report.sim.coflows[dep].completion);
+        dep_done = std::max(dep_done, epoch.sim.coflows[dep].completion);
       }
       next_ready[s] =
           std::max(ready[s], dep_done + stages[s].compute_seconds);
@@ -98,11 +92,12 @@ QueryReport run_query(const std::vector<QueryStage>& stages,
   report.stages.resize(stages.size());
   for (std::size_t s = 0; s < stages.size(); ++s) {
     report.stages[s].name = stages[s].name;
-    report.stages[s].ready = report.sim.coflows[s].arrival;
-    report.stages[s].completion = report.sim.coflows[s].completion;
-    report.stages[s].traffic_bytes = stage_flow_matrices[s].traffic();
+    report.stages[s].ready = epoch.sim.coflows[s].arrival;
+    report.stages[s].completion = epoch.sim.coflows[s].completion;
+    report.stages[s].traffic_bytes = epoch.queries[s].traffic_bytes;
     report.makespan = std::max(report.makespan, report.stages[s].completion);
   }
+  report.sim = std::move(epoch.sim);
   return report;
 }
 

@@ -3,9 +3,10 @@
 //
 // A query is a DAG of operator stages: each stage's shuffle can only start
 // once its upstream stages have delivered (plus local compute time). Unlike
-// run_job(), where arrivals are fixed a priori, here an arrival depends on
-// upstream *completions*, which themselves depend on network contention from
-// overlapping stages. We resolve this with a monotone fixed-point iteration:
+// an Engine epoch, where arrivals are fixed a priori, here an arrival depends
+// on upstream *completions*, which themselves depend on network contention
+// from overlapping stages. We resolve this with a monotone fixed-point
+// iteration, one Engine epoch per round:
 //
 //   1. guess ready times from compute times alone (zero network delay),
 //   2. simulate every stage's coflow with those arrivals,
@@ -18,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "core/job.hpp"
+#include "core/concurrent.hpp"
 #include "data/workload.hpp"
 #include "net/simulator.hpp"
 
@@ -59,7 +60,8 @@ struct QueryOptions {
 };
 
 /// Plan, place and simulate a whole query. Throws std::invalid_argument on
-/// an empty plan, forward/self dependencies, or mismatched cluster sizes.
+/// an empty plan, forward/self dependencies, mismatched cluster sizes, or a
+/// negative or non-finite compute time.
 QueryReport run_query(const std::vector<QueryStage>& stages,
                       const QueryOptions& options = {});
 

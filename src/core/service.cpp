@@ -1,11 +1,8 @@
 #include "core/service.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
-
-#include "core/registry.hpp"
 
 namespace ccf::core {
 
@@ -102,19 +99,10 @@ SubmitResult Service::submit(std::size_t tenant, QuerySpec spec) {
   if (tenant >= tenants_.size()) {
     return {SubmitStatus::kUnknownTenant, 0};
   }
-  // Validate here, against the same rules Engine::submit enforces, so the
-  // driver thread can never throw: a bad spec is an error code at the door,
-  // not an exception N microseconds later on another thread. Sparse
-  // submissions validate their flow list; workload submissions validate the
-  // placement inputs.
-  const bool valid =
-      spec.sparse
-          ? sparse_spec_valid(*spec.sparse, options_.engine.nodes)
-          : (spec.workload &&
-             spec.workload->matrix.nodes() == options_.engine.nodes &&
-             spec.arrival >= 0.0 && std::isfinite(spec.weight) &&
-             spec.weight >= 0.0 && registry::has_scheduler(spec.scheduler));
-  if (!valid) {
+  // Validate here, by the same rules Engine::submit enforces, so the driver
+  // thread can never throw: a bad spec is an error code at the door, not an
+  // exception N microseconds later on another thread.
+  if (!query_spec_valid(spec, options_.engine.nodes)) {
     invalid_.fetch_add(1, std::memory_order_relaxed);
     return {SubmitStatus::kInvalid, 0};
   }
@@ -142,10 +130,11 @@ SubmitResult Service::submit(std::size_t tenant, QuerySpec spec) {
     return {SubmitStatus::kQueueFull, 0};
   }
   accepted_.fetch_add(1, std::memory_order_release);
-  // Plain notify (no lock): a racing driver that just re-checked its empty
-  // ring sleeps at most max_wait before its timed wait re-polls, so a missed
-  // wakeup costs bounded latency, never progress — and the submit hot path
-  // stays lock-free.
+  {
+    // Empty critical section: serialize with a driver between its predicate
+    // check and its wait, so the notify cannot fall in the gap.
+    const std::scoped_lock lock(shard.wake_mutex);
+  }
   shard.wake_cv.notify_one();
   return {SubmitStatus::kAccepted, ticket};
 }

@@ -148,15 +148,16 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Non-blocking submission: validate, charge the tenant's token bucket,
-  /// push onto the tenant's shard ring, wake the driver. Thread-safe from
-  /// any number of client threads. On anything but kAccepted the service
-  /// state is untouched except the corresponding rejection counter.
+  /// Non-blocking submission: validate (core::query_spec_valid), charge the
+  /// tenant's token bucket, push onto the tenant's shard ring, wake the
+  /// driver. Thread-safe from any number of client threads. On anything but
+  /// kAccepted the service state is untouched except the corresponding
+  /// rejection counter.
   SubmitResult submit(std::size_t tenant, QuerySpec spec);
 
   /// Sparse submission: the n²-free ingestion path (see QuerySpec::sparse).
   /// The spec is validated against the shard fabric at the door
-  /// (core::sparse_spec_valid) and carried verbatim into the ShardEpoch
+  /// (core::query_spec_valid) and carried verbatim into the ShardEpoch
   /// record, so sparse epochs replay through a fresh Engine exactly like
   /// workload epochs. This is what lets a 10k-rack epoch run behind the
   /// service: nothing on the path allocates O(nodes²).
@@ -204,8 +205,10 @@ class Service {
 
     util::MpmcQueue<Submission> queue;
     Engine engine;
-    /// Driver wake-up: producers notify after a push; the driver waits here
-    /// when both the ring and its staging are empty.
+    /// Driver wake-up: producers take and release the mutex after a push,
+    /// then notify, so a driver between its empty-ring check and its wait
+    /// cannot miss the push. The driver waits here when both the ring and
+    /// its staging are empty.
     std::mutex wake_mutex;
     std::condition_variable wake_cv;
 

@@ -28,21 +28,17 @@ void stage_prepare(RunContext& ctx) {
   ctx.timings.prepare_seconds = seconds_since(t0);
 }
 
-void stage_place(RunContext& ctx, join::PartitionScheduler& scheduler) {
+void stage_place(RunContext& ctx) {
+  if (!ctx.scheduler) {
+    throw std::logic_error("stage_place: context has no scheduler");
+  }
   if (!ctx.prepared) {
     throw std::logic_error("stage_place: stage_prepare has not run");
   }
   const opt::AssignmentProblem problem = ctx.prepared->problem();
   const auto t0 = Clock::now();
-  ctx.destinations = scheduler.schedule(problem);
+  ctx.destinations = ctx.scheduler->schedule(problem);
   ctx.timings.place_seconds = seconds_since(t0);
-}
-
-void stage_place(RunContext& ctx) {
-  if (!ctx.scheduler) {
-    throw std::logic_error("stage_place: context has no scheduler");
-  }
-  stage_place(ctx, *ctx.scheduler);
 }
 
 void stage_flows(RunContext& ctx) {

@@ -2,9 +2,9 @@
 // through the framework is: skew pre-pass (partial duplication) -> placement
 // (application-level scheduler) -> flow generation -> coflow registration on
 // the network. Each stage operates on a per-query RunContext that carries the
-// intermediate products plus structured wall-clock timings and counters, so
-// every orchestrator (run_pipeline, run_job, run_query, the Engine) composes
-// the same code instead of re-wiring the stages by hand.
+// intermediate products plus structured wall-clock timings and counters. The
+// Engine's drain is the orchestrator that runs them; run_concurrent_operators
+// reuses the skew pre-pass and the isolated placement for its stacked plan.
 #pragma once
 
 #include <cstddef>
@@ -88,11 +88,8 @@ struct RunContext {
 /// ctx.skew_handling). Requires ctx.workload.
 void stage_prepare(RunContext& ctx);
 
-/// Placement with an explicit scheduler instance (shared-instance callers
-/// like run_query). Requires stage_prepare to have run.
-void stage_place(RunContext& ctx, join::PartitionScheduler& scheduler);
-
-/// Placement with the context's own scheduler (the Engine path).
+/// Placement with the context's own scheduler (ctx.scheduler). Requires
+/// stage_prepare to have run.
 void stage_place(RunContext& ctx);
 
 /// Flow generation: residual + placement + skew broadcasts -> dense

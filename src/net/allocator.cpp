@@ -9,10 +9,6 @@
 
 #include "util/parallel.hpp"
 
-#if defined(CCF_SIMD_FILL) && defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 namespace ccf::net {
 
 namespace {
@@ -349,30 +345,12 @@ std::atomic<FillKernel> g_fill_kernel{FillKernel::kVectorized};
 /// for every slot, returning the minimum share (NaN shares — zero residual on
 /// a memberless dense slot — are skipped, exactly as the strict < of the
 /// scalar scan skips them; +inf parks pass through but can never win below
-/// kInf). Branch-light and contiguous so the compiler vectorizes it; with
-/// CCF_SIMD_FILL an explicit AVX2 body handles the aligned body.
+/// kInf). Branch-light and contiguous so the compiler vectorizes it.
 double bottleneck_scan(const double* res, const double* cnt, double* share,
                        std::size_t u_count) {
   constexpr double kInf = AllocatorContext::kInfDt;
   double m = kInf;
-  std::size_t u = 0;
-#if defined(CCF_SIMD_FILL) && defined(__AVX2__)
-  const __m256d zero = _mm256_setzero_pd();
-  __m256d acc = _mm256_set1_pd(kInf);
-  for (; u + 4 <= u_count; u += 4) {
-    const __m256d r = _mm256_loadu_pd(res + u);
-    const __m256d c = _mm256_loadu_pd(cnt + u);
-    // max_pd(zero, r) keeps r on ties, matching std::max(res, 0.0);
-    // min_pd(s, acc) keeps acc when s is NaN, matching std::min(m, s).
-    const __m256d s = _mm256_div_pd(_mm256_max_pd(zero, r), c);
-    _mm256_storeu_pd(share + u, s);
-    acc = _mm256_min_pd(s, acc);
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  m = std::min(std::min(lanes[0], lanes[1]), std::min(lanes[2], lanes[3]));
-#endif
-  for (; u < u_count; ++u) {
+  for (std::size_t u = 0; u < u_count; ++u) {
     const double s = std::max(res[u], 0.0) / cnt[u];
     share[u] = s;
     m = std::min(m, s);

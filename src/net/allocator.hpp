@@ -306,8 +306,8 @@ double maxmin_fill_prepared(const ActiveFlows& flows,
 
 /// Bottleneck-scan kernel of maxmin_fill_prepared. kVectorized (default) is
 /// the branch-light two-pass sweep over the dense slot arrays (value min,
-/// then first-index match — auto-vectorizable, optionally AVX2 when built
-/// with CCF_SIMD_FILL); kScalarReference is the original branchy
+/// then first-index match — auto-vectorizable); kScalarReference is the
+/// original branchy
 /// first-strict-min scan. Both select the same link and the same share value
 /// bit-for-bit (the vectorized path re-reads the share at the matched index,
 /// so even the sign of a zero share agrees); the switch exists so the

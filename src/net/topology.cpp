@@ -648,11 +648,12 @@ TopologySpec TopologySpec::parse(std::string_view text) {
 
 namespace {
 
-std::string trimmed_double(double v) {
-  std::string s = std::to_string(v);
-  while (s.size() > 1 && s.back() == '0') s.pop_back();
-  if (!s.empty() && s.back() == '.') s.pop_back();
-  return s;
+/// Shortest text that parses back to exactly `v` (what parse_double reads).
+std::string round_trip_double(double v) {
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  assert(ec == std::errc());
+  return std::string(buf, end);
 }
 
 }  // namespace
@@ -663,17 +664,17 @@ std::string TopologySpec::to_string() const {
       return "leafspine:racks=" + std::to_string(racks) +
              ",hosts=" + std::to_string(hosts) +
              ",spines=" + std::to_string(spines) +
-             ",oversub=" + trimmed_double(oversub);
+             ",oversub=" + round_trip_double(oversub);
     case TopologyKind::kFatTree:
       return "fattree:k=" + std::to_string(fat_k) +
-             ",core-scale=" + trimmed_double(core_scale);
+             ",core-scale=" + round_trip_double(core_scale);
     case TopologyKind::kIrregular:
       return "waxman:nodes=" + std::to_string(nodes) +
              ",routers=" + std::to_string(waxman.routers) +
              ",seed=" + std::to_string(seed) +
-             ",alpha=" + trimmed_double(waxman.alpha) +
-             ",beta=" + trimmed_double(waxman.beta) +
-             ",trunk-scale=" + trimmed_double(waxman.trunk_scale) +
+             ",alpha=" + round_trip_double(waxman.alpha) +
+             ",beta=" + round_trip_double(waxman.beta) +
+             ",trunk-scale=" + round_trip_double(waxman.trunk_scale) +
              ",paths=" + std::to_string(waxman.route_k);
   }
   throw std::logic_error("TopologySpec: unknown kind");

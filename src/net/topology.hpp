@@ -93,7 +93,9 @@ struct TopologySpec {
   /// unknown kinds/keys or malformed values. host_rate has no key — set it
   /// from the CLI's --port-rate.
   static TopologySpec parse(std::string_view text);
-  /// Canonical round-trippable form of the spec (host_rate omitted).
+  /// Canonical round-trippable form of the spec (host_rate omitted). Every
+  /// double prints as its shortest round-trip text, so parse(to_string())
+  /// reproduces each printed field bit for bit.
   std::string to_string() const;
   /// End hosts the described topology will have, without building it
   /// (racks*hosts, k^3/4, or nodes) — what Engine sizes its session to.

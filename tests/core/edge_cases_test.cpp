@@ -4,18 +4,23 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
-#include "core/pipeline.hpp"
+#include "core/engine.hpp"
 #include "core/registry.hpp"
 #include "join/schedulers.hpp"
 #include "net/metrics.hpp"
 #include "net/simulator.hpp"
+#include "testing/engine_session.hpp"
 
 namespace ccf {
 namespace {
 
-data::Workload tiny_workload(std::size_t nodes, std::size_t partitions,
-                             double skew = 0.2) {
+using ccf::testing::run_one;
+
+std::shared_ptr<const data::Workload> tiny_workload(std::size_t nodes,
+                                                   std::size_t partitions,
+                                                   double skew = 0.2) {
   data::WorkloadSpec spec;
   spec.nodes = nodes;
   spec.partitions = partitions;
@@ -23,14 +28,13 @@ data::Workload tiny_workload(std::size_t nodes, std::size_t partitions,
   spec.orders_bytes = 1e6;
   spec.skew = skew;
   spec.seed = 17;
-  return data::generate_workload(spec);
+  return std::make_shared<const data::Workload>(data::generate_workload(spec));
 }
 
 TEST(EdgeCases, SingleNodePipelineIsFree) {
   const auto w = tiny_workload(1, 5);
   for (const char* name : {"hash", "mini", "ccf"}) {
-    const auto r =
-        core::run_pipeline(w, core::PipelineOptions::paper_system(name));
+    const auto r = run_one(core::QuerySpec::paper_system(name, w));
     EXPECT_DOUBLE_EQ(r.traffic_bytes, 0.0) << name;
     EXPECT_DOUBLE_EQ(r.cct_seconds, 0.0) << name;
     EXPECT_EQ(r.flow_count, 0u) << name;
@@ -39,7 +43,7 @@ TEST(EdgeCases, SingleNodePipelineIsFree) {
 
 TEST(EdgeCases, SinglePartitionStillSchedules) {
   const auto w = tiny_workload(4, 1, 0.0);
-  const auto r = core::run_pipeline(w, core::PipelineOptions::paper_system("ccf"));
+  const auto r = run_one(core::QuerySpec::paper_system("ccf", w));
   EXPECT_GT(r.traffic_bytes, 0.0);
   EXPECT_NEAR(r.cct_seconds, r.gamma_seconds, 1e-9 * r.gamma_seconds);
 }
@@ -56,15 +60,16 @@ TEST(EdgeCases, AllZeroMatrixSchedulesToNoTraffic) {
 
 TEST(EdgeCases, PipelineUnderEveryAllocator) {
   const auto w = tiny_workload(6, 30);
-  core::PipelineOptions opts = core::PipelineOptions::paper_system("ccf");
+  const core::QuerySpec query = core::QuerySpec::paper_system("ccf", w);
+  core::EngineOptions opts;
   opts.allocator = "madd";
-  const double madd = core::run_pipeline(w, opts).cct_seconds;
+  const double madd = run_one(query, opts).cct_seconds;
   opts.allocator = "varys";
-  const double varys = core::run_pipeline(w, opts).cct_seconds;
+  const double varys = run_one(query, opts).cct_seconds;
   opts.allocator = "aalo";
-  const double aalo = core::run_pipeline(w, opts).cct_seconds;
+  const double aalo = run_one(query, opts).cct_seconds;
   opts.allocator = "fair";
-  const double fair = core::run_pipeline(w, opts).cct_seconds;
+  const double fair = run_one(query, opts).cct_seconds;
   // Single coflow: Varys degenerates to MADD; Aalo and fair can only lose.
   EXPECT_NEAR(varys, madd, 1e-9 * madd);
   EXPECT_GE(aalo, madd * (1.0 - 1e-9));
@@ -73,13 +78,13 @@ TEST(EdgeCases, PipelineUnderEveryAllocator) {
 
 TEST(EdgeCases, SkewPresentButHandlingDisabledKeepsFullMatrix) {
   const auto w = tiny_workload(5, 20, 0.5);
-  core::PipelineOptions opts = core::PipelineOptions::paper_system("ccf");
-  opts.skew_handling = false;
-  const auto r = core::run_pipeline(w, opts);
+  core::QuerySpec query = core::QuerySpec::paper_system("ccf", w);
+  query.skew_handling = false;
+  const auto r = run_one(query);
   EXPECT_FALSE(r.skew_handled);
   // Without partial duplication the hot mass must cross the wire: traffic at
   // least the remote share of the hot partition.
-  EXPECT_GT(r.traffic_bytes, 0.3 * w.skew.skewed_bytes_total());
+  EXPECT_GT(r.traffic_bytes, 0.3 * w->skew.skewed_bytes_total());
 }
 
 TEST(EdgeCases, HeterogeneousFabricMaddStillHitsGamma) {

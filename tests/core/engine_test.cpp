@@ -1,8 +1,8 @@
 // Pins the Engine's two load-bearing guarantees (core/engine.hpp):
 //
 //  1. Serial equivalence — an Engine fed queries one drain at a time
-//     reproduces run_pipeline's RunReport bit-for-bit, for every placement
-//     scheduler x rate allocator pair the registry knows.
+//     reproduces a fresh one-query Engine per query bit-for-bit, for every
+//     placement scheduler x rate allocator pair the registry knows.
 //  2. Concurrent determinism — a drain with many pending queries placed on
 //     the parallel fan-out yields bit-identical reports run after run,
 //     regardless of the worker-thread count. The suite carries the
@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -19,8 +20,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/pipeline.hpp"
 #include "core/registry.hpp"
+#include "testing/engine_session.hpp"
 
 namespace ccf::core {
 namespace {
@@ -60,36 +61,34 @@ class EngineEquivalence
 TEST_P(EngineEquivalence, SerialSessionMatchesRunPipeline) {
   const auto& [scheduler, allocator] = GetParam();
 
-  PipelineOptions popts;
-  popts.scheduler = scheduler;
-  popts.allocator = allocator;
-
   EngineOptions eopts;
   eopts.nodes = 4;
   eopts.allocator = allocator;
   Engine engine(eopts);
 
   // One session, queries fed serially: each drain is a fresh one-query epoch
-  // and must equal the corresponding isolated run_pipeline call exactly.
+  // and must equal the same query drained by its own fresh Engine exactly.
   for (const std::uint64_t seed : {11u, 12u}) {
-    const data::Workload w = tiny_workload(seed);
-    const RunReport expected = run_pipeline(w, popts);
+    const auto w = std::make_shared<const data::Workload>(tiny_workload(seed));
+    const QuerySpec query(scheduler, w, scheduler);
+    const EngineReport expected = ccf::testing::drain_one(query, eopts);
+    ASSERT_EQ(expected.queries.size(), 1u);
+    const RunReport& want = expected.queries.front();
 
-    QuerySpec query(scheduler, data::Workload(w), scheduler);
-    engine.submit(std::move(query));
+    engine.submit(query);
     EngineReport epoch = engine.drain();
 
     ASSERT_EQ(epoch.queries.size(), 1u);
     const RunReport& got = epoch.queries.front();
-    EXPECT_EQ(got.scheduler, expected.scheduler);
-    EXPECT_EQ(got.skew_handled, expected.skew_handled);
-    EXPECT_EQ(got.flow_count, expected.flow_count);
+    EXPECT_EQ(got.scheduler, want.scheduler);
+    EXPECT_EQ(got.skew_handled, want.skew_handled);
+    EXPECT_EQ(got.flow_count, want.flow_count);
     // Bit-identical, not approximately equal: the same stage code ran on the
     // same inputs and the same single-coflow simulation.
-    EXPECT_EQ(got.traffic_bytes, expected.traffic_bytes);
-    EXPECT_EQ(got.makespan_bytes, expected.makespan_bytes);
-    EXPECT_EQ(got.gamma_seconds, expected.gamma_seconds);
-    EXPECT_EQ(got.cct_seconds, expected.cct_seconds);
+    EXPECT_EQ(got.traffic_bytes, want.traffic_bytes);
+    EXPECT_EQ(got.makespan_bytes, want.makespan_bytes);
+    EXPECT_EQ(got.gamma_seconds, want.gamma_seconds);
+    EXPECT_EQ(got.cct_seconds, want.cct_seconds);
     EXPECT_EQ(epoch.sim.events, expected.sim.events);
     EXPECT_EQ(epoch.sim.total_bytes, expected.sim.total_bytes);
     EXPECT_EQ(epoch.makespan, expected.sim.makespan);
@@ -174,13 +173,13 @@ TEST(EngineConcurrency, ContendingQueriesStretchEachOther) {
   // The shared epoch is an actual contention model: a query's in-session CCT
   // can only be >= its isolated run (MADD work conservation on one fabric).
   const EngineReport epoch = concurrent_session(0);
-  PipelineOptions popts;
   const std::vector<std::string> schedulers = all_scheduler_names();
   double isolated_sum = 0.0;
   double shared_sum = 0.0;
   for (std::size_t q = 0; q < 8; ++q) {
-    popts.scheduler = schedulers[q % schedulers.size()];
-    isolated_sum += run_pipeline(tiny_workload(100 + q), popts).cct_seconds;
+    const QuerySpec alone("q", tiny_workload(100 + q),
+                          schedulers[q % schedulers.size()]);
+    isolated_sum += ccf::testing::run_one(alone).cct_seconds;
     shared_sum += epoch.queries[q].cct_seconds;
   }
   EXPECT_GE(shared_sum, isolated_sum * (1.0 - 1e-6));
@@ -324,6 +323,56 @@ TEST(Engine, ValidatesOptionsAndSubmissions) {
                std::invalid_argument);
   // Nothing half-submitted survives a rejected call.
   EXPECT_EQ(engine.pending(), 0u);
+}
+
+TEST(Engine, RejectsNonFiniteArrivalAndWeightAtTheDoor) {
+  // A NaN or infinite arrival used to pass submit() and throw from the
+  // simulator at drain time, after the batch had been swapped out.
+  EngineOptions opts;
+  opts.nodes = 4;
+  Engine engine(opts);
+  const auto w = std::make_shared<const data::Workload>(tiny_workload(1));
+  engine.submit(QuerySpec("ok", w));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double arrival : {nan, inf}) {
+    EXPECT_THROW(engine.submit(QuerySpec("q", w, "ccf", arrival)),
+                 std::invalid_argument);
+    EXPECT_EQ(engine.pending(), 1u);
+  }
+  for (const double weight : {nan, inf, -1.0}) {
+    QuerySpec query("q", w);
+    query.weight = weight;
+    EXPECT_THROW(engine.submit(std::move(query)), std::invalid_argument);
+    EXPECT_EQ(engine.pending(), 1u);
+  }
+  EXPECT_THROW(engine.submit("pre", nan, net::FlowMatrix(4)),
+               std::invalid_argument);
+  EXPECT_EQ(engine.pending(), 1u);
+  // The valid query still drains.
+  EXPECT_EQ(engine.drain().queries.size(), 1u);
+}
+
+TEST(Engine, QuerySpecValidityMatchesTheThrowingCheck) {
+  const auto w = std::make_shared<const data::Workload>(tiny_workload(1));
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<QuerySpec> specs = {
+      QuerySpec("ok", w),
+      QuerySpec("late", w, "ccf", inf),
+      QuerySpec("bogus", w, "bogus"),
+      QuerySpec{},
+  };
+  for (const QuerySpec& spec : specs) {
+    bool threw = false;
+    try {
+      validate_query_spec(spec, 4);
+    } catch (const std::invalid_argument&) {
+      threw = true;
+    }
+    EXPECT_EQ(query_spec_valid(spec, 4), !threw) << spec.name;
+  }
+  EXPECT_TRUE(query_spec_valid(specs[0], 4));
+  EXPECT_FALSE(query_spec_valid(specs[0], 8));  // does not span the fabric
 }
 
 }  // namespace

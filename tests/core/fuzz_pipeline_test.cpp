@@ -4,8 +4,11 @@
 // about what moved where.
 #include <gtest/gtest.h>
 
-#include "core/pipeline.hpp"
+#include <memory>
+
+#include "core/engine.hpp"
 #include "core/skew_handling.hpp"
+#include "testing/engine_session.hpp"
 #include "util/rng.hpp"
 
 namespace ccf {
@@ -31,14 +34,19 @@ class FuzzPipeline : public ::testing::TestWithParam<std::uint64_t> {
 
 TEST_P(FuzzPipeline, AccountingInvariantsHoldForEverySystem) {
   const auto spec = random_spec();
-  const auto w = data::generate_workload(spec);
+  const auto shared =
+      std::make_shared<const data::Workload>(data::generate_workload(spec));
+  const data::Workload& w = *shared;
   // The generated matrix conserves bytes.
   EXPECT_NEAR(w.matrix.total(), spec.total_bytes(),
               1e-6 * spec.total_bytes() + 1e-6);
 
   for (const char* name : {"hash", "mini", "ccf"}) {
-    const auto opts = core::PipelineOptions::paper_system(name);
-    const auto r = core::run_pipeline(w, opts);
+    const core::EngineOptions opts;
+    const core::EngineReport epoch =
+        ccf::testing::drain_one(core::QuerySpec::paper_system(name, shared),
+                                opts);
+    const core::RunReport& r = epoch.queries.front();
 
     // Traffic can never exceed what exists (plus tiny broadcast mass).
     EXPECT_LE(r.traffic_bytes,
@@ -59,8 +67,8 @@ TEST_P(FuzzPipeline, AccountingInvariantsHoldForEverySystem) {
               r.traffic_bytes / static_cast<double>(spec.nodes))
         << name;
     // Simulation moved exactly the traffic.
-    if (!r.sim.coflows.empty()) {
-      EXPECT_NEAR(r.sim.total_bytes, r.traffic_bytes,
+    if (!epoch.sim.coflows.empty()) {
+      EXPECT_NEAR(epoch.sim.total_bytes, r.traffic_bytes,
                   1e-6 * r.traffic_bytes + 1e-6)
           << name;
     }
@@ -87,13 +95,16 @@ TEST_P(FuzzPipeline, SkewHandlerConservesBytes) {
 
 TEST_P(FuzzPipeline, SkewHandlingNeverSlowsCcfDown) {
   const auto spec = random_spec();
-  const auto w = data::generate_workload(spec);
-  core::PipelineOptions with = core::PipelineOptions::paper_system("ccf");
-  core::PipelineOptions without = with;
+  const auto w =
+      std::make_shared<const data::Workload>(data::generate_workload(spec));
+  const core::QuerySpec with = core::QuerySpec::paper_system("ccf", w);
+  core::QuerySpec without = with;
   without.skew_handling = false;
-  with.simulate = without.simulate = false;  // analytic is exact under MADD
-  const double cct_with = core::run_pipeline(w, with).cct_seconds;
-  const double cct_without = core::run_pipeline(w, without).cct_seconds;
+  core::EngineOptions analytic;
+  analytic.simulate = false;  // analytic is exact under MADD
+  const double cct_with = ccf::testing::run_one(with, analytic).cct_seconds;
+  const double cct_without =
+      ccf::testing::run_one(without, analytic).cct_seconds;
   // Pinning hot data + broadcasting a tiny build side should never hurt by
   // more than the broadcast mass itself.
   const double broadcast_slack =

@@ -2,7 +2,9 @@
 // paper-scale benches run analytically, and the two paths must agree.
 #include <gtest/gtest.h>
 
-#include "core/pipeline.hpp"
+#include <memory>
+
+#include "core/engine.hpp"
 #include "core/skew_handling.hpp"
 #include "data/skew.hpp"
 #include "data/tpch.hpp"
@@ -11,6 +13,7 @@
 #include "join/local_join.hpp"
 #include "join/schedulers.hpp"
 #include "net/metrics.hpp"
+#include "testing/engine_session.hpp"
 
 namespace ccf {
 namespace {
@@ -18,7 +21,7 @@ namespace {
 struct JoinFixture {
   data::DistributedRelation customer;
   data::DistributedRelation orders;
-  data::Workload workload;
+  std::shared_ptr<const data::Workload> workload;
   std::size_t partitions;
 };
 
@@ -35,7 +38,8 @@ JoinFixture make_setup(double skew) {
     data::inject_skew(orders, skew, 1, rng);
   }
   const std::size_t partitions = 75;  // 15 * nodes, the paper's ratio
-  auto workload = data::workload_from_tuples(customer, orders, partitions, 1);
+  auto workload = std::make_shared<const data::Workload>(
+      data::workload_from_tuples(customer, orders, partitions, 1));
   return JoinFixture{std::move(customer), std::move(orders), std::move(workload),
                partitions};
 }
@@ -43,17 +47,18 @@ JoinFixture make_setup(double skew) {
 TEST(Integration, PipelineTrafficEqualsTupleExecutorTraffic) {
   const JoinFixture s = make_setup(0.2);
   for (const char* name : {"hash", "mini", "ccf"}) {
-    const core::PipelineOptions opts = core::PipelineOptions::paper_system(name);
-    const core::RunReport report = core::run_pipeline(s.workload, opts);
+    const core::QuerySpec query =
+        core::QuerySpec::paper_system(name, s.workload);
+    const core::RunReport report = ccf::testing::run_one(query);
 
     // Recreate the pipeline's placement decision and execute at tuple level.
     const core::PreparedInput prepared =
-        core::apply_partial_duplication(s.workload, opts.skew_handling);
+        core::apply_partial_duplication(*s.workload, query.skew_handling);
     const opt::AssignmentProblem problem = prepared.problem();
     const auto dest = join::make_scheduler(name)->schedule(problem);
     const auto exec = join::execute_distributed_join(
         s.customer, s.orders, s.partitions, dest,
-        opts.skew_handling ? &s.workload.skew : nullptr);
+        query.skew_handling ? &s.workload->skew : nullptr);
 
     EXPECT_NEAR(report.traffic_bytes, exec.flows.traffic(),
                 1e-6 * report.traffic_bytes)
@@ -67,12 +72,12 @@ TEST(Integration, JoinResultInvariantAcrossAllSystems) {
   for (const char* name : {"hash", "mini", "ccf", "ccf-ls", "random"}) {
     for (const bool skew_handling : {false, true}) {
       const core::PreparedInput prepared =
-          core::apply_partial_duplication(s.workload, skew_handling);
+          core::apply_partial_duplication(*s.workload, skew_handling);
       const opt::AssignmentProblem problem = prepared.problem();
       const auto dest = join::make_scheduler(name)->schedule(problem);
       const auto exec = join::execute_distributed_join(
           s.customer, s.orders, s.partitions, dest,
-          skew_handling ? &s.workload.skew : nullptr);
+          skew_handling ? &s.workload->skew : nullptr);
       EXPECT_EQ(exec.result_tuples, truth)
           << name << " skew_handling=" << skew_handling;
     }
@@ -84,8 +89,8 @@ TEST(Integration, TupleLevelCctOrderingMatchesPaper) {
   // zipf-aligned workload: CCF <= Hash and CCF <= Mini in CCT.
   const JoinFixture s = make_setup(0.2);
   auto cct_of = [&](const char* name) {
-    return core::run_pipeline(s.workload,
-                              core::PipelineOptions::paper_system(name))
+    return ccf::testing::run_one(
+               core::QuerySpec::paper_system(name, s.workload))
         .cct_seconds;
   };
   const double ccf = cct_of("ccf");
@@ -98,13 +103,13 @@ TEST(Integration, GammaBoundsTupleMeasuredFlows) {
   // tuple executor actually produced.
   const JoinFixture s = make_setup(0.3);
   const core::PreparedInput prepared =
-      core::apply_partial_duplication(s.workload, true);
+      core::apply_partial_duplication(*s.workload, true);
   const opt::AssignmentProblem problem = prepared.problem();
   const auto dest = join::CcfScheduler().schedule(problem);
   const auto analytic =
       join::assignment_flows(prepared.residual, dest, prepared.initial_flows);
   const auto exec = join::execute_distributed_join(
-      s.customer, s.orders, s.partitions, dest, &s.workload.skew);
+      s.customer, s.orders, s.partitions, dest, &s.workload->skew);
   const net::Fabric fabric(5);
   EXPECT_NEAR(net::gamma_bound(analytic, fabric),
               net::gamma_bound(exec.flows, fabric),

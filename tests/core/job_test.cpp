@@ -1,6 +1,12 @@
-#include "core/job.hpp"
-
+// A multi-operator job as one Engine epoch: every operator is a query with
+// its own arrival, and their coflows contend under the inter-coflow policy.
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
+
+#include "core/concurrent.hpp"
+#include "core/engine.hpp"
 
 namespace ccf::core {
 namespace {
@@ -22,9 +28,26 @@ std::vector<OperatorSpec> three_ops() {
           OperatorSpec{"agg", 5.0, op_spec(3, 0.25)}};
 }
 
+/// The whole job as one epoch of a session sized to its first operator.
+EngineReport drain_job(const std::vector<OperatorSpec>& operators,
+                       const JobOptions& options) {
+  EngineOptions eopts;
+  eopts.nodes = operators.empty() ? 0 : operators.front().workload.nodes;
+  eopts.port_rate = options.port_rate;
+  eopts.allocator = options.allocator;
+  Engine engine(std::move(eopts));
+  for (const OperatorSpec& op : operators) {
+    QuerySpec query(op.name, data::generate_workload(op.workload),
+                    options.scheduler, op.arrival);
+    query.skew_handling = options.skew_handling;
+    engine.submit(std::move(query));
+  }
+  return engine.drain();
+}
+
 TEST(RunJob, ReportsPerOperatorCcts) {
   JobOptions opts;
-  const JobReport r = run_job(three_ops(), opts);
+  const EngineReport r = drain_job(three_ops(), opts);
   ASSERT_EQ(r.sim.coflows.size(), 3u);
   EXPECT_DOUBLE_EQ(r.sim.coflows[0].arrival, 0.0);
   EXPECT_DOUBLE_EQ(r.sim.coflows[1].arrival, 2.0);
@@ -45,7 +68,7 @@ TEST(RunJob, AllocatorsProduceDifferentAverageCct) {
        {"madd", "varys", "aalo", "fair", "sincronia", "lp-order"}) {
     JobOptions opts;
     opts.allocator = allocator;
-    const JobReport r = run_job(three_ops(), opts);
+    const EngineReport r = drain_job(three_ops(), opts);
     EXPECT_EQ(r.sim.coflows.size(), 3u);
     if (bytes < 0.0) {
       bytes = r.total_traffic_bytes;
@@ -60,17 +83,18 @@ TEST(RunJob, SchedulerChoiceAffectsJobMakespan) {
   ccf_opts.scheduler = "ccf";
   JobOptions mini_opts;
   mini_opts.scheduler = "mini";
-  const double ccf = run_job(three_ops(), ccf_opts).sim.makespan;
-  const double mini = run_job(three_ops(), mini_opts).sim.makespan;
+  const double ccf = drain_job(three_ops(), ccf_opts).sim.makespan;
+  const double mini = drain_job(three_ops(), mini_opts).sim.makespan;
   // Zipf-aligned chunks: Mini floods node 0, CCF balances.
   EXPECT_LT(ccf, mini);
 }
 
 TEST(RunJob, Errors) {
-  EXPECT_THROW(run_job({}, JobOptions{}), std::invalid_argument);
+  // No operators: the session has no fabric width.
+  EXPECT_THROW(drain_job({}, JobOptions{}), std::invalid_argument);
   auto ops = three_ops();
-  ops[1].workload.nodes = 9;  // mismatched cluster
-  EXPECT_THROW(run_job(ops, JobOptions{}), std::invalid_argument);
+  ops[1].workload.nodes = 9;  // does not span the session fabric
+  EXPECT_THROW(drain_job(ops, JobOptions{}), std::invalid_argument);
 }
 
 }  // namespace

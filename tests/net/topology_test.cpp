@@ -6,12 +6,16 @@
 // determinism (same seed -> same topology, build after build).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "net/topology.hpp"
+#include "util/rng.hpp"
 
 namespace ccf::net {
 namespace {
@@ -356,6 +360,62 @@ TEST(TopologySpec, ParsesAndRoundTrips) {
         "fattree:k=4,core-scale=nan", "leafspine:oversub=inf",
         "leafspine:oversub="}) {
     EXPECT_THROW(TopologySpec::parse(bad), std::invalid_argument) << bad;
+  }
+}
+
+TEST(TopologySpec, ToStringRoundTripsEveryDoubleBitForBit) {
+  // Fixed cases that used to lose digits: 6-decimal printing re-parsed
+  // 0.1234567 as 0.123457 and printed 1e-7 as 0.
+  util::Pcg32 rng(17, 17);
+  const auto random_double = [&rng] {
+    switch (rng.bounded(3)) {
+      case 0:
+        return rng.uniform(0.0, 64.0);
+      case 1:
+        return std::ldexp(rng.uniform(1.0, 2.0),
+                          static_cast<int>(rng.bounded(120)) - 60);
+      default: {
+        // Any finite bit pattern: subnormals, negatives and extremes too.
+        double v = std::numeric_limits<double>::quiet_NaN();
+        while (!std::isfinite(v)) {
+          const std::uint64_t bits =
+              (std::uint64_t{rng()} << 32) | rng();
+          v = std::bit_cast<double>(bits);
+        }
+        return v;
+      }
+    }
+  };
+  std::vector<double> values = {0.1234567, 1e-7, 1.0 / 3.0, 0.1, 4.0};
+  for (int i = 0; i < 500; ++i) values.push_back(random_double());
+
+  for (const double v : values) {
+    TopologySpec ls = TopologySpec::parse("leafspine:racks=3,hosts=2");
+    ls.oversub = v;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                  TopologySpec::parse(ls.to_string()).oversub),
+              std::bit_cast<std::uint64_t>(v))
+        << ls.to_string();
+
+    TopologySpec ft = TopologySpec::parse("fattree:k=4");
+    ft.core_scale = v;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                  TopologySpec::parse(ft.to_string()).core_scale),
+              std::bit_cast<std::uint64_t>(v))
+        << ft.to_string();
+
+    TopologySpec wx = TopologySpec::parse("waxman:nodes=8,routers=3");
+    wx.waxman.alpha = v;
+    wx.waxman.beta = -v;
+    wx.waxman.trunk_scale = v * 0.5;
+    const TopologySpec back = TopologySpec::parse(wx.to_string());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.waxman.alpha),
+              std::bit_cast<std::uint64_t>(wx.waxman.alpha));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.waxman.beta),
+              std::bit_cast<std::uint64_t>(wx.waxman.beta));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.waxman.trunk_scale),
+              std::bit_cast<std::uint64_t>(wx.waxman.trunk_scale))
+        << wx.to_string();
   }
 }
 
